@@ -12,6 +12,8 @@
 //! never leak into a valid lane; the unpack paths here simply never read
 //! past `batch`.
 
+use crate::sim::SimError;
+
 /// A feature-major binary matrix with 64 stimulus lanes per word.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BitTensor {
@@ -138,14 +140,31 @@ impl BitTensor {
 
     /// Pack per-lane bit vectors (`lanes[l][f]`, the same shape
     /// `Dense::from_lanes` takes): `lanes.len()` is the batch, every lane
-    /// carries one bit per feature.
+    /// carries one bit per feature, as many as the first lane.
     pub fn from_lanes(lanes: &[Vec<bool>]) -> Self {
-        let batch = lanes.len();
         let features = lanes.first().map_or(0, Vec::len);
-        let mut t = BitTensor::zeros(features, batch);
+        debug_assert!(lanes.iter().all(|lane| lane.len() == features));
+        Self::pack(features, lanes)
+    }
+
+    /// [`BitTensor::from_lanes`] for lanes that must each carry exactly
+    /// `features` bits: a lane of another width is a typed
+    /// [`SimError::InputWidth`], checked before any bit is packed. The
+    /// shape is `features × lanes.len()` even when there are no lanes.
+    pub fn from_lanes_checked(features: usize, lanes: &[Vec<bool>]) -> Result<Self, SimError> {
+        if let Some(lane) = lanes.iter().find(|lane| lane.len() != features) {
+            return Err(SimError::InputWidth {
+                expected: features,
+                got: lane.len(),
+            });
+        }
+        Ok(Self::pack(features, lanes))
+    }
+
+    fn pack(features: usize, lanes: &[Vec<bool>]) -> Self {
+        let mut t = BitTensor::zeros(features, lanes.len());
         for (l, lane) in lanes.iter().enumerate() {
-            debug_assert_eq!(lane.len(), features);
-            for (f, &bit) in lane.iter().enumerate() {
+            for (f, &bit) in lane.iter().enumerate().take(features) {
                 if bit {
                     t.data[f * t.words + l / 64] |= 1 << (l % 64);
                 }

@@ -64,44 +64,19 @@ impl<'a> BitplaneSimulator<'a> {
     }
 
     /// Advance one clock: `inputs[l]` is lane `l`'s primary-input bits.
-    /// Returns the primary outputs per lane.
+    /// Returns the primary outputs per lane. Packs the lanes and runs
+    /// [`step_packed_into`](BitplaneSimulator::step_packed_into).
     pub fn step(&mut self, inputs: &[Vec<bool>]) -> Result<Vec<Vec<bool>>, SimError> {
-        let pi = self.nn.num_primary_inputs;
-        if self.nn.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
         if inputs.len() != self.batch {
             return Err(SimError::BatchMismatch {
                 expected: self.batch,
                 got: inputs.len(),
             });
         }
-        for lane in inputs {
-            if lane.len() != pi {
-                return Err(SimError::InputWidth {
-                    expected: pi,
-                    got: lane.len(),
-                });
-            }
-        }
-        let x = BitTensor::from_lanes(inputs);
-        let mut packed = BitTensor::zeros(0, 0);
-        std::mem::swap(&mut packed, &mut self.xbuf);
-        self.pack_inputs(&x, &mut packed);
-        let outputs;
-        {
-            let y = self
-                .nn
-                .forward_with(&packed, self.device, &mut self.scratch);
-            let po = self.nn.num_primary_outputs;
-            outputs = (0..self.batch)
-                .map(|l| (0..po).map(|f| y.get_bit(f, l)).collect())
-                .collect();
-            Self::scatter_state(self.nn, y, &mut self.state);
-        }
-        self.xbuf = packed;
-        self.cycles += 1;
-        Ok(outputs)
+        let x = BitTensor::from_lanes_checked(self.nn.num_primary_inputs, inputs)?;
+        let mut out = BitTensor::zeros(0, 0);
+        self.step_packed_into(&x, &mut out)?;
+        Ok(out.to_lanes())
     }
 
     /// The zero-copy hot path: `inputs` is already packed
@@ -203,85 +178,26 @@ impl<'a, T: Scalar> BitplaneRunner<'a, T> {
 
     /// Advance every session one clock cycle in lockstep; same contract as
     /// [`SessionRunner::step`](crate::SessionRunner::step) — the batch
-    /// composition may change freely between calls.
+    /// composition may change freely between calls. Packs the lanes and
+    /// runs [`step_planes`](BitplaneRunner::step_planes).
     pub fn step(
         &mut self,
         sessions: &mut [Session<T>],
         inputs: &[Vec<bool>],
     ) -> Result<Vec<Vec<bool>>, SimError> {
-        let pi = self.nn.num_primary_inputs;
-        let po = self.nn.num_primary_outputs;
-        let s = self.nn.state_bits();
-        let b = sessions.len();
-        if self.nn.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
-        if inputs.len() != b {
+        if inputs.len() != sessions.len() {
             return Err(SimError::BatchMismatch {
-                expected: b,
+                expected: sessions.len(),
                 got: inputs.len(),
             });
         }
-        for lane in inputs {
-            if lane.len() != pi {
-                return Err(SimError::InputWidth {
-                    expected: pi,
-                    got: lane.len(),
-                });
-            }
-        }
-        for sess in sessions.iter() {
-            if sess.state_raw().len() != s {
-                return Err(SimError::StateWidth {
-                    expected: s,
-                    got: sess.state_raw().len(),
-                });
-            }
-        }
-        if b == 0 {
-            return Ok(Vec::new());
-        }
-        self.xbuf.resize_to(pi + s, b);
-        self.xbuf.data_mut().fill(0);
-        for (l, lane) in inputs.iter().enumerate() {
-            for (f, &bit) in lane.iter().enumerate() {
-                if bit {
-                    self.xbuf.set_bit(f, l, true);
-                }
-            }
-        }
-        for (l, sess) in sessions.iter().enumerate() {
-            for (f, &v) in sess.state_raw().iter().enumerate() {
-                if v == T::ONE {
-                    self.xbuf.set_bit(pi + f, l, true);
-                }
-            }
-        }
-        let y = self
-            .nn
-            .forward_with(&self.xbuf, self.device, &mut self.scratch);
-        debug_assert_eq!(y.features(), po + s);
-        let outputs = (0..b)
-            .map(|l| (0..po).map(|f| y.get_bit(f, l)).collect())
-            .collect();
-        for (l, sess) in sessions.iter_mut().enumerate() {
-            for (f, v) in sess.state_raw_mut().iter_mut().enumerate() {
-                *v = if y.get_bit(po + f, l) {
-                    T::ONE
-                } else {
-                    T::ZERO
-                };
-            }
-            sess.bump_cycles();
-        }
-        Ok(outputs)
+        let x = BitTensor::from_lanes_checked(self.nn.num_primary_inputs, inputs)?;
+        Ok(self.step_planes(sessions, &x)?.to_lanes())
     }
 
-    /// The zero-copy twin of [`step`](BitplaneRunner::step): `inputs` is
-    /// already packed (`num_primary_inputs × sessions.len()`), the input
-    /// planes are copied word-wise instead of bit-by-bit, and the outputs
-    /// come back packed (`num_primary_outputs × sessions.len()`, ragged
-    /// tails zeroed). Same shape checks and per-lane semantics.
+    /// The packed step: `inputs` is `num_primary_inputs × sessions.len()`
+    /// planes, copied in word-wise, and the outputs come back packed
+    /// (`num_primary_outputs × sessions.len()`, ragged tails zeroed).
     pub fn step_planes(
         &mut self,
         sessions: &mut [Session<T>],

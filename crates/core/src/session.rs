@@ -14,11 +14,11 @@
 //! assembles any set of sessions into one feature-major batch, runs one
 //! cycle, and scatters next-state back — so the *composition* of the batch
 //! can change freely between cycles while every lane's own trajectory stays
-//! bit-exact. [`Simulator::export_sessions`] and
-//! [`Simulator::import_sessions`] bridge the two worlds.
+//! bit-exact.
 
+use crate::bitplane::BitTensor;
 use crate::compile::CompiledNn;
-use crate::sim::{SimError, Simulator};
+use crate::sim::SimError;
 use c2nn_tensor::{Dense, Device, Scalar};
 
 /// The resumable state of one simulation lane: one testbench's flip-flop
@@ -102,7 +102,8 @@ impl<'a, T: Scalar> SessionRunner<'a, T> {
 
     /// Advance every session one clock cycle in lockstep: `sessions[l]`
     /// consumes `inputs[l]` (primary-input bits, LSB-first) and its state is
-    /// updated in place. Returns the primary outputs per lane.
+    /// updated in place. Returns the primary outputs per lane. Packs the
+    /// lanes and runs [`step_planes`](SessionRunner::step_planes).
     ///
     /// The batch is whatever slice the caller assembled — lanes may come
     /// and go between calls; each session's trajectory is identical to
@@ -113,6 +114,24 @@ impl<'a, T: Scalar> SessionRunner<'a, T> {
         sessions: &mut [Session<T>],
         inputs: &[Vec<bool>],
     ) -> Result<Vec<Vec<bool>>, SimError> {
+        if inputs.len() != sessions.len() {
+            return Err(SimError::BatchMismatch {
+                expected: sessions.len(),
+                got: inputs.len(),
+            });
+        }
+        let x = BitTensor::from_lanes_checked(self.nn.num_primary_inputs, inputs)?;
+        Ok(self.step_planes(sessions, &x)?.to_lanes())
+    }
+
+    /// The packed step: `inputs` is `num_primary_inputs × sessions.len()`
+    /// planes and the outputs come back packed
+    /// (`num_primary_outputs × sessions.len()`, ragged tails zero).
+    pub fn step_planes(
+        &mut self,
+        sessions: &mut [Session<T>],
+        inputs: &BitTensor,
+    ) -> Result<BitTensor, SimError> {
         let pi = self.nn.num_primary_inputs;
         let po = self.nn.num_primary_outputs;
         let s = self.nn.state_bits();
@@ -120,19 +139,17 @@ impl<'a, T: Scalar> SessionRunner<'a, T> {
         if self.nn.layers.is_empty() {
             return Err(SimError::NoLayers);
         }
-        if inputs.len() != b {
+        if inputs.batch() != b {
             return Err(SimError::BatchMismatch {
                 expected: b,
-                got: inputs.len(),
+                got: inputs.batch(),
             });
         }
-        for lane in inputs {
-            if lane.len() != pi {
-                return Err(SimError::InputWidth {
-                    expected: pi,
-                    got: lane.len(),
-                });
-            }
+        if inputs.features() != pi {
+            return Err(SimError::InputWidth {
+                expected: pi,
+                got: inputs.features(),
+            });
         }
         for sess in sessions.iter() {
             if sess.state.len() != s {
@@ -142,21 +159,21 @@ impl<'a, T: Scalar> SessionRunner<'a, T> {
                 });
             }
         }
+        let mut outputs = BitTensor::zeros(po, b);
         if b == 0 {
-            return Ok(Vec::new());
+            return Ok(outputs);
         }
         // x = [inputs ; state], feature-major: feature f of lane l at
         // data[f * b + l]
         self.xbuf.resize_to(pi + s, b);
         let data = self.xbuf.data_mut();
-        for v in data.iter_mut() {
-            *v = T::ZERO;
-        }
-        for (l, lane) in inputs.iter().enumerate() {
-            for (f, &bit) in lane.iter().enumerate() {
-                if bit {
-                    data[f * b + l] = T::ONE;
-                }
+        for f in 0..pi {
+            for l in 0..b {
+                data[f * b + l] = if inputs.get_bit(f, l) {
+                    T::ONE
+                } else {
+                    T::ZERO
+                };
             }
         }
         for (l, sess) in sessions.iter().enumerate() {
@@ -169,9 +186,13 @@ impl<'a, T: Scalar> SessionRunner<'a, T> {
             .forward_with(&self.xbuf, self.device, &mut self.scratch);
         debug_assert_eq!(y.rows(), po + s);
         let ydata = y.data();
-        let outputs = (0..b)
-            .map(|l| (0..po).map(|f| ydata[f * b + l] == T::ONE).collect())
-            .collect();
+        for f in 0..po {
+            for l in 0..b {
+                if ydata[f * b + l] == T::ONE {
+                    outputs.set_bit(f, l, true);
+                }
+            }
+        }
         for (l, sess) in sessions.iter_mut().enumerate() {
             for f in 0..s {
                 sess.state[f] = ydata[(po + f) * b + l];
@@ -182,46 +203,11 @@ impl<'a, T: Scalar> SessionRunner<'a, T> {
     }
 }
 
-impl<'a, T: Scalar> Simulator<'a, T> {
-    /// Snapshot every lane of this simulator as an independent [`Session`]
-    /// (lane order preserved). All sessions carry the simulator's cycle
-    /// count.
-    pub fn export_sessions(&self) -> Vec<Session<T>> {
-        let cycles = self.cycles();
-        self.state_lanes_raw()
-            .into_iter()
-            .map(|state| Session { state, cycles })
-            .collect()
-    }
-
-    /// Load per-lane states from sessions (one per lane, in lane order).
-    /// The simulator's own cycle counter is left untouched — sessions keep
-    /// their individual counts.
-    pub fn import_sessions(&mut self, sessions: &[Session<T>]) -> Result<(), SimError> {
-        if sessions.len() != self.batch() {
-            return Err(SimError::BatchMismatch {
-                expected: self.batch(),
-                got: sessions.len(),
-            });
-        }
-        let s = self.state_width();
-        for sess in sessions {
-            if sess.state.len() != s {
-                return Err(SimError::StateWidth {
-                    expected: s,
-                    got: sess.state.len(),
-                });
-            }
-        }
-        self.load_lane_states(sessions.iter().map(|sess| sess.state.as_slice()));
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions};
+    use crate::sim::Simulator;
     use c2nn_netlist::{NetlistBuilder, WordOps};
 
     fn counter_nn() -> CompiledNn<f32> {
@@ -286,36 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn export_import_roundtrip() {
-        let nn = counter_nn();
-        let mut sim = Simulator::new(&nn, 2, Device::Serial);
-        let ones = Dense::from_lanes(&[vec![true], vec![true]]);
-        for _ in 0..6 {
-            sim.step(&ones);
-        }
-        let sessions = sim.export_sessions();
-        assert_eq!(sessions.len(), 2);
-        assert_eq!(as_u32(&sessions[0].state_bits()), 6);
-        assert_eq!(sessions[0].cycles(), 6);
-
-        // continue one exported lane standalone; reimport into a fresh sim
-        let mut runner = SessionRunner::new(&nn, Device::Serial);
-        let mut lane = sessions[0].clone();
-        runner
-            .step(std::slice::from_mut(&mut lane), &[vec![true]])
-            .unwrap();
-        assert_eq!(as_u32(&lane.state_bits()), 7);
-
-        let mut sim2 = Simulator::new(&nn, 2, Device::Serial);
-        sim2.import_sessions(&sessions).unwrap();
-        // the counter registers its output, so the first step reads back the
-        // imported state and advances it
-        let out = sim2.step(&ones).to_lanes();
-        assert_eq!(as_u32(&out[0]), 6, "imported state is visible");
-        assert_eq!(as_u32(&sim2.state_lanes()[0]), 7, "and continues counting");
-    }
-
-    #[test]
     fn shape_errors_are_typed() {
         let nn = counter_nn();
         let mut runner = SessionRunner::new(&nn, Device::Serial);
@@ -345,7 +301,5 @@ mod tests {
                 got: 2
             })
         ));
-        let mut sim = Simulator::new(&nn, 2, Device::Serial);
-        assert!(sim.import_sessions(&[Session::new(&nn)]).is_err());
     }
 }

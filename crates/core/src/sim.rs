@@ -314,28 +314,6 @@ impl<'a, T: Scalar> Simulator<'a, T> {
         self.nn.state_bits()
     }
 
-    /// Current state as per-lane raw scalar vectors (column extraction from
-    /// the feature-major state tensor). Exists for the session layer.
-    pub(crate) fn state_lanes_raw(&self) -> Vec<Vec<T>> {
-        (0..self.batch)
-            .map(|l| {
-                (0..self.state.rows())
-                    .map(|f| self.state.get(f, l))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Overwrite per-lane state columns from an iterator of state slices
-    /// (one per lane, lane order; widths pre-validated by the caller).
-    pub(crate) fn load_lane_states<'s>(&mut self, lanes: impl Iterator<Item = &'s [T]>) {
-        for (l, lane) in lanes.enumerate() {
-            for (f, &v) in lane.iter().enumerate() {
-                self.state.set(f, l, v);
-            }
-        }
-    }
-
     /// Reset all testbenches to the power-on state.
     pub fn reset(&mut self) {
         self.state = Dense::zeros(self.nn.state_bits(), self.batch);

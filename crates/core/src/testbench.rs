@@ -17,6 +17,7 @@
 //! 00 x2
 //! ```
 
+use crate::bitplane::BitTensor;
 use crate::compile::CompiledNn;
 use crate::sim::Simulator;
 use c2nn_tensor::{Dense, Device, Scalar};
@@ -26,6 +27,15 @@ use c2nn_tensor::{Dense, Device, Scalar};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Stimulus {
     pub cycles: Vec<Vec<bool>>,
+}
+
+/// Packs a stimulus into bit planes: feature `f` of cycle `c` is
+/// `cycles[c][f]`, so the planes are `inputs × cycles`. The width is the
+/// first cycle's; a zero-cycle stimulus packs to `0 × 0`.
+impl From<Stimulus> for BitTensor {
+    fn from(stim: Stimulus) -> Self {
+        BitTensor::from_lanes(&stim.cycles)
+    }
 }
 
 /// Errors from [`parse_stim`].

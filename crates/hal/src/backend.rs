@@ -6,9 +6,9 @@
 //! [`Plan`]: the backend-specific legalized artifact (a CSR network as-is,
 //! a bit-plane program, a future GPU buffer set) plus a capabilities
 //! [`Manifest`] the cost model prices. A plan manufactures resumable
-//! [`Runner`]s — the serve scheduler's per-thread stepping engines — and
-//! offers a batch-to-completion entry point ([`Plan::execute_batch`]) for
-//! offline runs.
+//! [`Runner`]s and runs ragged testbenches to completion with one of them
+//! ([`Plan::execute_planes`], the loop both the serve scheduler and
+//! offline [`Plan::execute_batch`] go through).
 //!
 //! Admission is fallible by design: a backend that cannot run a model
 //! (e.g. bit-plane legalization of non-integral weights) returns a typed
@@ -111,17 +111,12 @@ pub trait Runner {
     /// Packed twin of [`step`](Runner::step): inputs arrive as feature-major
     /// bit planes (`num_primary_inputs × sessions.len()`) and outputs come
     /// back packed (`num_primary_outputs × sessions.len()`, ragged tails
-    /// zeroed). The default unpacks to lanes and repacks, so every backend
-    /// keeps the identical contract; backends with a native packed path
-    /// (bit-plane) override it to skip the `Vec<bool>` round-trip.
+    /// zeroed), with the same typed shape errors.
     fn step_planes(
         &mut self,
         sessions: &mut [Session<f32>],
         inputs: &BitTensor,
-    ) -> Result<BitTensor, SimError> {
-        let outs = self.step(sessions, &inputs.to_lanes())?;
-        Ok(BitTensor::from_lanes(&outs))
-    }
+    ) -> Result<BitTensor, SimError>;
 }
 
 /// An admitted model on one backend: the legalized artifact plus its
@@ -140,38 +135,73 @@ pub trait Plan: Send + Sync {
     fn nn(&self) -> &Arc<CompiledNn<f32>>;
 
     /// Manufacture a fresh resumable runner over this plan. Runners are
-    /// cheap (scratch buffers only) — the serve scheduler builds one per
-    /// batcher thread and rebuilds after a poisoned batch.
+    /// cheap (scratch buffers only): [`execute_planes`](Plan::execute_planes)
+    /// builds one per call.
     fn runner(&self) -> Box<dyn Runner + '_>;
 
-    /// Run a set of ragged testbenches to completion: one runner, one
-    /// forward pass per cycle across all lanes; shorter testbenches idle
-    /// with zero inputs until the longest finishes, and their recorded
-    /// outputs stop at their own length (the same contract as
-    /// [`c2nn_core::run_batch`]).
-    fn execute_batch(&self, stims: &[Stimulus]) -> Result<Vec<BenchResult>, SimError> {
+    /// Run a set of ragged testbenches to completion on packed planes:
+    /// testbench `j` arrives as `num_primary_inputs × cycles_j` and comes
+    /// back as `num_primary_outputs × cycles_j` (ragged tails zero). One
+    /// runner advances every testbench with one
+    /// [`step_planes`](Runner::step_planes) call per cycle; a testbench
+    /// that has run out of cycles idles on zero inputs until the longest
+    /// finishes. A zero-cycle testbench carries no input bits, so only
+    /// testbenches with cycles are width-checked.
+    fn execute_planes(&self, stims: &[BitTensor]) -> Result<Vec<BitTensor>, SimError> {
         let nn = self.nn();
-        let pi = nn.num_primary_inputs;
+        let (pi, po) = (nn.num_primary_inputs, nn.num_primary_outputs);
+        if let Some(s) = stims.iter().find(|s| s.batch() > 0 && s.features() != pi) {
+            return Err(SimError::InputWidth {
+                expected: pi,
+                got: s.features(),
+            });
+        }
+        let mut outs: Vec<BitTensor> = stims
+            .iter()
+            .map(|s| BitTensor::zeros(po, s.batch()))
+            .collect();
+        let max_cycles = stims.iter().map(BitTensor::batch).max().unwrap_or(0);
         let mut runner = self.runner();
         let mut sessions: Vec<Session<f32>> = stims.iter().map(|_| Session::new(nn)).collect();
-        let max_cycles = stims.iter().map(|s| s.cycles.len()).max().unwrap_or(0);
-        let mut results: Vec<BenchResult> = stims
-            .iter()
-            .map(|_| BenchResult { cycles: Vec::new() })
-            .collect();
+        let mut x = BitTensor::zeros(pi, stims.len());
         for c in 0..max_cycles {
-            let inputs: Vec<Vec<bool>> = stims
-                .iter()
-                .map(|s| s.cycles.get(c).cloned().unwrap_or_else(|| vec![false; pi]))
-                .collect();
-            let outs = runner.step(&mut sessions, &inputs)?;
-            for (lane, stim) in stims.iter().enumerate() {
-                if c < stim.cycles.len() {
-                    results[lane].cycles.push(outs[lane].clone());
+            x.data_mut().fill(0);
+            for (j, s) in stims.iter().enumerate().filter(|(_, s)| c < s.batch()) {
+                for f in 0..pi {
+                    if s.get_bit(f, c) {
+                        x.set_bit(f, j, true);
+                    }
+                }
+            }
+            let y = runner.step_planes(&mut sessions, &x)?;
+            for (j, out) in outs.iter_mut().enumerate().filter(|(_, o)| c < o.batch()) {
+                for f in 0..po {
+                    if y.get_bit(f, j) {
+                        out.set_bit(f, c, true);
+                    }
                 }
             }
         }
-        Ok(results)
+        Ok(outs)
+    }
+
+    /// [`execute_planes`](Plan::execute_planes) over per-cycle lane
+    /// vectors: every cycle must carry `num_primary_inputs` bits (a typed
+    /// [`SimError::InputWidth`] otherwise), and each testbench's outputs
+    /// stop at its own length — the contract of [`c2nn_core::run_batch`].
+    fn execute_batch(&self, stims: &[Stimulus]) -> Result<Vec<BenchResult>, SimError> {
+        let pi = self.nn().num_primary_inputs;
+        let planes = stims
+            .iter()
+            .map(|s| BitTensor::from_lanes_checked(pi, &s.cycles))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self
+            .execute_planes(&planes)?
+            .iter()
+            .map(|out| BenchResult {
+                cycles: out.to_lanes(),
+            })
+            .collect())
     }
 }
 

@@ -27,6 +27,14 @@ impl Runner for SessionRunner<'_, f32> {
     ) -> Result<Vec<Vec<bool>>, SimError> {
         SessionRunner::step(self, sessions, inputs)
     }
+
+    fn step_planes(
+        &mut self,
+        sessions: &mut [Session<f32>],
+        inputs: &BitTensor,
+    ) -> Result<BitTensor, SimError> {
+        SessionRunner::step_planes(self, sessions, inputs)
+    }
 }
 
 impl Runner for BitplaneRunner<'_, f32> {
@@ -43,7 +51,6 @@ impl Runner for BitplaneRunner<'_, f32> {
         sessions: &mut [Session<f32>],
         inputs: &BitTensor,
     ) -> Result<BitTensor, SimError> {
-        // native packed path: word-wise plane copy in, packed planes out
         BitplaneRunner::step_planes(self, sessions, inputs)
     }
 }

@@ -208,4 +208,21 @@ pub fn check_error_parity(backend: &dyn Backend) {
     );
     // empty batch steps to an empty output
     assert_eq!(runner.step(&mut [], &[]).unwrap(), Vec::<Vec<bool>>::new());
+    // execute_batch checks every cycle's width before packing: one
+    // wrong-width cycle anywhere in the batch is typed, never mis-packed
+    for bad in [pi + 1, pi - 1] {
+        let good = Stimulus {
+            cycles: vec![vec![true; pi]; 4],
+        };
+        let mut stim = good.clone();
+        stim.cycles[2] = vec![true; bad];
+        assert_eq!(
+            plan.execute_batch(&[good, stim]).unwrap_err(),
+            SimError::InputWidth {
+                expected: pi,
+                got: bad
+            },
+            "{name}: execute_batch input width error shape"
+        );
+    }
 }

@@ -42,10 +42,10 @@
 use crate::admission::AdmitError;
 use crate::metrics::{self, IoGauges};
 use crate::protocol::{
-    Frame, FrameBuffer, FrameLimits, Request, Response, StimPayload, WireFormat, PROTOCOL_VERSION,
+    decode_stim, Frame, FrameBuffer, FrameLimits, Request, Response, StimPayload, WireFormat,
+    PROTOCOL_VERSION,
 };
 use crate::registry::Registry;
-use crate::scheduler::StimData;
 use crate::server::{sim_reply, WirePolicy};
 use crate::signal;
 use std::io::{self, Read, Write};
@@ -852,49 +852,23 @@ fn start_sim(
         enqueue_response(conn, &admit_error_response(e), ctx);
         return;
     }
-    let pi = served.nn.num_primary_inputs;
-    let data: StimData = match stim {
-        StimPayload::Text(text) => match c2nn_core::parse_stim(&text, pi) {
-            Ok(s) => s.into(),
-            Err(e) => {
-                enqueue_response(
-                    conn,
-                    &Response::Error {
-                        message: e.to_string(),
-                    },
-                    ctx,
-                );
-                return;
-            }
-        },
-        // packed planes ride to the scheduler untouched — the binary hot
-        // path never expands to Vec<bool> on the server side
-        StimPayload::Packed(planes) => {
-            if planes.features() != pi {
-                enqueue_response(
-                    conn,
-                    &Response::Error {
-                        message: format!(
-                            "stimulus planes carry {} input bits; model '{model}' expects {pi}",
-                            planes.features()
-                        ),
-                    },
-                    ctx,
-                );
-                return;
-            }
-            planes.into()
+    let text = matches!(stim, StimPayload::Text(_));
+    let planes = match decode_stim(stim, model, served.nn.num_primary_inputs) {
+        Ok(planes) => planes,
+        Err(message) => {
+            enqueue_response(conn, &Response::Error { message }, ctx);
+            return;
         }
     };
     let deadline = deadline_ms.map(|ms| received + Duration::from_millis(ms));
     conn.pending = true;
     let completions = Arc::clone(&ctx.completions);
     served.submit_with(
-        data,
+        planes,
         deadline,
         Box::new(move |result| {
             // runs on the batcher thread: format, enqueue, wake — no blocking
-            completions.push(token, sim_reply(result));
+            completions.push(token, sim_reply(result, text));
             drop(permit); // budget released only once the reply is queued
         }),
     );

@@ -64,5 +64,5 @@ pub use protocol::{
     StimPayload, WireFormat, MAX_FRAME, PROTOCOL_VERSION,
 };
 pub use registry::{Registry, RegistryConfig};
-pub use scheduler::{BatchConfig, ServedModel, SimFailure, SimOutput, StimData};
+pub use scheduler::{BatchConfig, ServedModel, SimFailure, SimOutput};
 pub use server::{spawn_server, IoModel, ServerConfig, ServerHandle, WirePolicy};

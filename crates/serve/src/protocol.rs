@@ -484,11 +484,24 @@ pub fn stim_to_planes(stim: &Stimulus) -> BitTensor {
     BitTensor::from_lanes(&stim.cycles)
 }
 
-/// Unpack wire bit planes into the scheduler's per-cycle lane vectors
-/// (the inverse of [`stim_to_planes`]).
-pub fn planes_to_stim(planes: &BitTensor) -> Stimulus {
-    Stimulus {
-        cycles: planes.to_lanes(),
+/// Decode a `sim` stimulus for model `model` with `width` primary inputs
+/// into `width × cycles` input planes — the one place the server turns
+/// wire stimuli into what the scheduler runs. Text is parsed at `width`
+/// (a comment-only text is zero cycles, still `width` wide); packed
+/// planes must carry exactly `width` input bits. The error is the wire
+/// message.
+pub fn decode_stim(stim: StimPayload, model: &str, width: usize) -> Result<BitTensor, String> {
+    match stim {
+        StimPayload::Text(text) => parse_stim(&text, width)
+            .map_err(|e| e.to_string())
+            .and_then(|s| {
+                BitTensor::from_lanes_checked(width, &s.cycles).map_err(|e| e.to_string())
+            }),
+        StimPayload::Packed(planes) if planes.features() != width => Err(format!(
+            "stimulus planes carry {} input bits; model '{model}' expects {width}",
+            planes.features()
+        )),
+        StimPayload::Packed(planes) => Ok(planes),
     }
 }
 
@@ -1909,7 +1922,7 @@ mod tests {
         assert_eq!(planes.features(), 2);
         assert_eq!(planes.batch(), 4);
         let stim = parse_stim(text, 2).unwrap();
-        assert_eq!(planes_to_stim(&planes).cycles, stim.cycles);
+        assert_eq!(planes.to_lanes(), stim.cycles);
         // MSB-first rendering matches the input reading order
         assert_eq!(
             planes_to_output_strings(&planes),

@@ -4,19 +4,20 @@
 //! queued; the batcher sleeps until the first job arrives, then keeps
 //! admitting jobs until either `max_batch` lanes have accumulated or the
 //! `max_wait` deadline (measured from the first queued job) expires —
-//! classic dynamic batching, with the batch then executed as one
-//! HAL-runner pass per cycle over all lanes. Per-lane outputs scatter
-//! back through each job's reply channel; a lane whose client vanished
-//! mid-batch just has its reply dropped on the floor — the other lanes are
-//! independent columns of the forward pass and are unaffected.
+//! classic dynamic batching, with the batch then run to completion by
+//! [`Plan::execute_planes`](c2nn_hal::Plan::execute_planes): one forward
+//! pass per cycle over all lanes, bit planes in and out. Per-lane outputs
+//! scatter back through each job's reply channel; a lane whose client
+//! vanished mid-batch just has its reply dropped on the floor — the other
+//! lanes are independent columns of the forward pass and are unaffected.
 //!
 //! Which execution engine steps the batch is decided *before* the batcher
 //! thread exists: the registry resolves the configured
 //! [`Choice`](c2nn_hal::Choice) against the [`c2nn_hal::BackendRegistry`]
 //! at install time, producing an admitted [`Plan`](c2nn_hal::Plan) (with
 //! typed rejection for models a backend cannot legalize). The batcher just
-//! manufactures runners from its plan — it never knows which backend it
-//! is running.
+//! hands each batch to its plan — it never knows which backend it is
+//! running.
 //!
 //! The deadline semantics are deliberately *first-job anchored*: the first
 //! request in a batch waits at most `max_wait` beyond its arrival, so a
@@ -33,9 +34,9 @@
 //!   is shed with a typed [`SimFailure::DeadlineExceeded`] — its lane never
 //!   occupies the forward pass.
 //! * A panic during the batched forward pass (e.g. a pool worker dying) is
-//!   caught: every lane in the batch gets a typed failure, the runner is
-//!   rebuilt from the plan, and the batcher thread survives to serve the
-//!   next batch — the pool respawns its worker on the next job
+//!   caught: every lane in the batch gets a typed failure, and the batcher
+//!   thread survives to serve the next batch with a fresh runner — the
+//!   pool respawns its worker on the next job
 //!   ([`c2nn_tensor::Pool`] self-healing).
 //! * An armed [`Chaos`] schedule injects scheduler stalls and worker
 //!   panics here, exercising exactly these paths under a fixed seed.
@@ -44,8 +45,8 @@ use crate::admission::{Admission, Pressure};
 use crate::chaos::Chaos;
 use crate::protocol::ModelStatsReport;
 use crate::stats::ModelCounters;
-use c2nn_core::{BitTensor, CompiledNn, Session, Stimulus};
-use c2nn_hal::{BackendRegistry, Choice, DeviceCalibration, Plan, Runner, Selection};
+use c2nn_core::{BitTensor, CompiledNn, SimError};
+use c2nn_hal::{BackendRegistry, Choice, DeviceCalibration, Plan, Selection};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -81,67 +82,25 @@ impl Default for BatchConfig {
     }
 }
 
-/// One testbench's stimulus as submitted: parsed per-cycle lane vectors
-/// (the JSON wire path) or pre-packed bit planes straight off the binary
-/// wire (`features` = primary inputs, `batch` = cycles). The reply comes
-/// back in the matching [`SimOutput`] shape.
+/// One testbench's results: its output bit planes (`features` = primary
+/// outputs, `batch` = cycles, ragged tails zero). The codec boundary
+/// decides how to render them.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StimData {
-    /// `cycles[c][f]` = primary input `f` at cycle `c`.
-    Lanes(Stimulus),
-    /// Feature-major bit planes, bit `c % 64` of word `f * W + c / 64`.
-    Packed(BitTensor),
-}
-
-impl StimData {
-    /// Number of stimulus cycles.
-    pub fn num_cycles(&self) -> usize {
-        match self {
-            StimData::Lanes(s) => s.cycles.len(),
-            StimData::Packed(bt) => bt.batch(),
-        }
-    }
-}
-
-impl From<Stimulus> for StimData {
-    fn from(s: Stimulus) -> Self {
-        StimData::Lanes(s)
-    }
-}
-
-impl From<BitTensor> for StimData {
-    fn from(bt: BitTensor) -> Self {
-        StimData::Packed(bt)
-    }
-}
-
-/// One testbench's results, in the shape its stimulus arrived in:
-/// per-cycle primary-output bit vectors for [`StimData::Lanes`] jobs,
-/// packed bit planes (`features` = primary outputs, `batch` = cycles,
-/// ragged tails zero) for [`StimData::Packed`] jobs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SimOutput {
-    /// `outputs[c][j]` = primary output `j` at cycle `c` (LSB-first).
-    Lanes(Vec<Vec<bool>>),
+pub struct SimOutput {
     /// Feature-major output bit planes.
-    Packed(BitTensor),
+    pub planes: BitTensor,
 }
 
 impl SimOutput {
     /// Number of simulated cycles.
     pub fn num_cycles(&self) -> usize {
-        match self {
-            SimOutput::Lanes(v) => v.len(),
-            SimOutput::Packed(bt) => bt.batch(),
-        }
+        self.planes.batch()
     }
 
-    /// Per-cycle output bit vectors, converting packed planes if needed.
+    /// Per-cycle output bit vectors (`lanes()[c][j]` = primary output `j`
+    /// at cycle `c`, LSB-first).
     pub fn lanes(&self) -> Vec<Vec<bool>> {
-        match self {
-            SimOutput::Lanes(v) => v.clone(),
-            SimOutput::Packed(bt) => bt.to_lanes(),
-        }
+        self.planes.to_lanes()
     }
 }
 
@@ -189,7 +148,8 @@ impl ReplyTo {
 }
 
 struct SimJob {
-    stim: StimData,
+    /// Input planes: `features` = primary inputs, `batch` = cycles.
+    stim: BitTensor,
     reply: ReplyTo,
     enqueued: Instant,
     /// Absolute client deadline; `None` means "whenever".
@@ -308,30 +268,19 @@ impl ServedModel {
             .report(&self.name, self.bytes, &self.backend, self.auto_selected)
     }
 
-    /// Enqueue one testbench (already width-checked against
-    /// `nn.num_primary_inputs`) and return the channel its result will
-    /// arrive on. The caller blocks on `recv()` for as long as it likes —
-    /// or drops the receiver to abandon the request. A `deadline` in the
-    /// past is legal: the scheduler sheds the lane with a typed reply.
+    /// Enqueue one testbench (input planes, `features` = primary inputs,
+    /// `batch` = cycles; a parsed [`Stimulus`](c2nn_core::Stimulus) converts)
+    /// and return the channel its result will arrive on. The caller blocks
+    /// on `recv()` for as long as it likes — or drops the receiver to
+    /// abandon the request. A `deadline` in the past is legal: the
+    /// scheduler sheds the lane with a typed reply.
     pub fn submit(
         &self,
-        stim: impl Into<StimData>,
+        stim: impl Into<BitTensor>,
         deadline: Option<Instant>,
     ) -> Receiver<Result<SimOutput, SimFailure>> {
         let (rtx, rrx) = mpsc::channel();
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-        let job = SimJob {
-            stim: stim.into(),
-            reply: ReplyTo::Channel(rtx),
-            enqueued: Instant::now(),
-            deadline,
-        };
-        if self.queue.send(job).is_err() {
-            // batcher thread died (can only happen at teardown); the caller
-            // sees a disconnected receiver
-            self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        }
+        self.enqueue(stim.into(), deadline, ReplyTo::Channel(rtx));
         rrx
     }
 
@@ -346,19 +295,35 @@ impl ServedModel {
     /// [`SimFailure::ShuttingDown`].
     pub fn submit_with(
         &self,
-        stim: impl Into<StimData>,
+        stim: impl Into<BitTensor>,
         deadline: Option<Instant>,
         on_reply: Box<dyn FnOnce(Result<SimOutput, SimFailure>) + Send>,
     ) {
+        self.enqueue(stim.into(), deadline, ReplyTo::Hook(on_reply));
+    }
+
+    /// Queue one job. A stimulus of the wrong input width fails alone,
+    /// before it can share (and fail) a batch with other clients' jobs.
+    fn enqueue(&self, stim: BitTensor, deadline: Option<Instant>, reply: ReplyTo) {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let pi = self.nn.num_primary_inputs;
+        if stim.batch() > 0 && stim.features() != pi {
+            let e = SimError::InputWidth {
+                expected: pi,
+                got: stim.features(),
+            };
+            reply.send(Err(SimFailure::Failed(e.to_string())));
+            return;
+        }
         self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
         let job = SimJob {
-            stim: stim.into(),
-            reply: ReplyTo::Hook(on_reply),
+            stim,
+            reply,
             enqueued: Instant::now(),
             deadline,
         };
         if let Err(mpsc::SendError(job)) = self.queue.send(job) {
+            // the batcher thread has exited (only at teardown)
             self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
             job.reply.send(Err(SimFailure::ShuttingDown));
         }
@@ -374,7 +339,6 @@ fn batch_loop(
     chaos: Option<&Chaos>,
 ) {
     let max_batch = cfg.max_batch.max(1);
-    let mut runner = plan.runner();
     while let Ok(first) = rx.recv() {
         // graceful degradation: past half the in-flight budget, widen the
         // coalescing window — requests are already queueing, so spend the
@@ -413,13 +377,7 @@ fn batch_loop(
         if live.is_empty() {
             continue;
         }
-        let poisoned = run_coalesced(runner.as_mut(), plan.nn(), stats, live, chaos);
-        if poisoned {
-            // a panic mid-pass may have left the runner's scratch state
-            // inconsistent; rebuild it from the plan (cheap relative to a
-            // batch)
-            runner = plan.runner();
-        }
+        run_coalesced(plan.as_ref(), stats, live, chaos);
     }
 }
 
@@ -432,132 +390,54 @@ fn finish_job(stats: &ModelCounters, job: SimJob, reply: Result<SimOutput, SimFa
     job.reply.send(reply);
 }
 
-/// Per-lane result accumulator: the reply shape follows the stimulus
-/// shape, so packed jobs never materialize per-cycle `Vec<bool>`s.
-enum Acc {
-    Lanes(Vec<Vec<bool>>),
-    Packed(BitTensor),
-}
-
-/// Execute one coalesced batch and scatter results. Every job gets a reply
-/// (success or typed failure). Returns `true` if a panic poisoned the
-/// runner and it must be rebuilt.
-///
-/// The batch's dataflow is packed end to end: each cycle's inputs are
-/// assembled into one reused `primary_inputs × lanes` [`BitTensor`] (bit
-/// transfers from packed stimuli, bit sets from parsed lanes) and stepped
-/// through [`Runner::step_planes`] — the bit-plane backend consumes the
-/// planes word-wise with no `Vec<bool>` in between, while lane backends
-/// fall back to the default unpack inside their `step_planes`.
+/// Execute one coalesced batch through [`Plan::execute_planes`] and
+/// scatter results. Every job gets a reply (success or typed failure).
+/// The runner lives only for this call, so a panic mid-pass leaves no
+/// state behind for the next batch.
 fn run_coalesced(
-    runner: &mut (dyn Runner + '_),
-    nn: &CompiledNn<f32>,
+    plan: &dyn Plan,
     stats: &ModelCounters,
-    jobs: Vec<SimJob>,
+    mut jobs: Vec<SimJob>,
     chaos: Option<&Chaos>,
-) -> bool {
-    let lanes = jobs.len();
+) {
     stats.batches.fetch_add(1, Ordering::Relaxed);
-    stats.lanes.fetch_add(lanes as u64, Ordering::Relaxed);
-
-    let pi = nn.num_primary_inputs;
-    let po = nn.num_primary_outputs;
-    let max_cycles = jobs.iter().map(|j| j.stim.num_cycles()).max().unwrap_or(0);
-    let mut sessions: Vec<Session<f32>> = jobs.iter().map(|_| Session::new(nn)).collect();
-    let mut results: Vec<Acc> = jobs
-        .iter()
-        .map(|j| match &j.stim {
-            StimData::Lanes(_) => Acc::Lanes(Vec::new()),
-            StimData::Packed(bt) => Acc::Packed(BitTensor::zeros(po, bt.batch())),
-        })
-        .collect();
-    let mut failure: Option<SimFailure> = None;
-    let mut poisoned = false;
+    stats.lanes.fetch_add(jobs.len() as u64, Ordering::Relaxed);
     let inject_panic = chaos.is_some_and(Chaos::take_worker_panic);
-    // one reused per-cycle input tensor; short testbenches idle with zero
-    // inputs until the batch finishes
-    let mut x = BitTensor::zeros(pi, lanes);
-    for c in 0..max_cycles {
-        x.data_mut().fill(0);
-        for (l, job) in jobs.iter().enumerate() {
-            match &job.stim {
-                StimData::Lanes(stim) => {
-                    if let Some(cyc) = stim.cycles.get(c) {
-                        for (f, &bit) in cyc.iter().enumerate().take(pi) {
-                            if bit {
-                                x.set_bit(f, l, true);
-                            }
-                        }
-                    }
-                }
-                StimData::Packed(bt) => {
-                    if c < bt.batch() {
-                        for f in 0..pi.min(bt.features()) {
-                            if bt.get_bit(f, c) {
-                                x.set_bit(f, l, true);
-                            }
-                        }
-                    }
-                }
-            }
+    let stims: Vec<BitTensor> = jobs
+        .iter_mut()
+        .map(|j| std::mem::take(&mut j.stim))
+        .collect();
+    // the forward pass may panic (a pool worker dying, injected or real);
+    // contain it to this batch — the batcher must outlive any single
+    // batch's failure
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        if inject_panic {
+            c2nn_tensor::Pool::global().inject_worker_panic();
         }
-        // the forward pass may panic (a pool worker dying, injected or
-        // real); contain it to this batch — the batcher must outlive any
-        // single batch's failure
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            if c == 0 && inject_panic {
-                c2nn_tensor::Pool::global().inject_worker_panic();
+        plan.execute_planes(&stims)
+    }));
+    let failure = match run {
+        Ok(Ok(outs)) => {
+            for (job, planes) in jobs.into_iter().zip(outs) {
+                finish_job(stats, job, Ok(SimOutput { planes }));
             }
-            runner.step_planes(&mut sessions, &x)
-        }));
-        match step {
-            Ok(Ok(y)) => {
-                for (l, job) in jobs.iter().enumerate() {
-                    if c < job.stim.num_cycles() {
-                        match &mut results[l] {
-                            Acc::Lanes(v) => {
-                                v.push((0..po).map(|f| y.get_bit(f, l)).collect());
-                            }
-                            Acc::Packed(out) => {
-                                for f in 0..po {
-                                    if y.get_bit(f, l) {
-                                        out.set_bit(f, c, true);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(Err(e)) => {
-                failure = Some(SimFailure::Failed(e.to_string()));
-                break;
-            }
-            Err(payload) => {
-                let what = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked".to_string());
-                failure = Some(SimFailure::Failed(format!(
-                    "forward pass panicked at cycle {c}: {what} (pool self-heals; retry)"
-                )));
-                poisoned = true;
-                break;
-            }
+            return;
         }
+        Ok(Err(e)) => SimFailure::Failed(e.to_string()),
+        Err(payload) => {
+            let what = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_string());
+            SimFailure::Failed(format!(
+                "forward pass panicked: {what} (pool self-heals; retry)"
+            ))
+        }
+    };
+    for job in jobs {
+        finish_job(stats, job, Err(failure.clone()));
     }
-    for (job, result) in jobs.into_iter().zip(results) {
-        let reply = match &failure {
-            Some(f) => Err(f.clone()),
-            None => Ok(match result {
-                Acc::Lanes(v) => SimOutput::Lanes(v),
-                Acc::Packed(bt) => SimOutput::Packed(bt),
-            }),
-        };
-        finish_job(stats, job, reply);
-    }
-    poisoned
 }
 
 #[cfg(test)]
@@ -575,7 +455,7 @@ mod tests {
         Choice::Named(backend.to_string())
     }
 
-    /// Decode per-cycle counter values from a reply, whatever its shape.
+    /// Decode per-cycle counter values from a reply.
     fn counter_vals(out: &SimOutput) -> Vec<u32> {
         out.lanes()
             .iter()
@@ -719,6 +599,32 @@ mod tests {
     }
 
     #[test]
+    fn wrong_width_job_fails_alone() {
+        let model = ServedModel::spawn_standalone(
+            "ctr",
+            counter_nn(),
+            BatchConfig {
+                max_batch: 8,
+                max_wait: Duration::from_millis(50),
+                backend: named("scalar"),
+            },
+        );
+        let bad = model.submit(BitTensor::zeros(2, 3), None);
+        let good = model.submit(parse_stim("1 x3\n", 1).unwrap(), None);
+        match bad.recv().unwrap() {
+            Err(SimFailure::Failed(msg)) => assert!(msg.contains("input width"), "{msg}"),
+            other => panic!("expected a typed width failure, got {other:?}"),
+        }
+        assert_eq!(counter_vals(&good.recv().unwrap().unwrap()), vec![0, 1, 2]);
+        let report = model.report();
+        assert_eq!(
+            report.lanes, 1,
+            "the bad job never reached the forward pass"
+        );
+        assert_eq!(report.queue_depth, 0);
+    }
+
+    #[test]
     fn all_backends_serve_bit_exact_batches() {
         // same compiled model, every registered backend, identical stimuli
         // → replies must be bit-identical, lane for lane, cycle for cycle
@@ -776,33 +682,21 @@ mod tests {
         let rx_packed = model.submit(packed, None);
         let out_lanes = rx_lanes.recv().unwrap().unwrap();
         let out_packed = rx_packed.recv().unwrap().unwrap();
-        assert!(
-            matches!(out_lanes, SimOutput::Lanes(_)),
-            "lane stimuli reply in lanes"
-        );
-        match &out_packed {
-            SimOutput::Packed(bt) => {
-                assert_eq!((bt.features(), bt.batch()), (4, 5));
-                // canonical: ragged tail bits are zero
-                let mut canon = bt.clone();
-                canon.mask_tails();
-                assert_eq!(&canon, bt);
-            }
-            other => panic!("packed stimuli reply packed, got {other:?}"),
+        for out in [&out_lanes, &out_packed] {
+            assert_eq!((out.planes.features(), out.planes.batch()), (4, 5));
+            // canonical: ragged tail bits are zero
+            let mut canon = out.planes.clone();
+            canon.mask_tails();
+            assert_eq!(canon, out.planes);
         }
-        assert_eq!(
-            out_lanes.lanes(),
-            out_packed.lanes(),
-            "both shapes are bit-exact"
-        );
+        assert_eq!(out_lanes, out_packed, "both submissions are bit-exact");
         assert_eq!(counter_vals(&out_packed), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn bitplane_batcher_survives_injected_panic() {
-        // the poisoned-runner rebuild path must restore a runner from the
-        // *same plan* — a bitplane batcher must not silently fall back to
-        // CSR semantics
+        // the batch after a panic must run on the *same plan* — a bitplane
+        // batcher must not silently fall back to CSR semantics
         let nn = counter_nn();
         let chaos = Chaos::new(ChaosConfig::parse("worker_panic=1,worker_panic_budget=1").unwrap());
         let cal = DeviceCalibration::default_host(c2nn_tensor::Pool::global().threads());

@@ -24,11 +24,11 @@
 
 use crate::admission::AdmitError;
 use crate::protocol::{
-    write_wire_frame, FrameLimits, FrameReader, Request, Response, SimOutputs, StimPayload,
-    WireFormat, PROTOCOL_VERSION,
+    decode_stim, planes_to_output_strings, write_wire_frame, FrameLimits, FrameReader, Request,
+    Response, SimOutputs, StimPayload, WireFormat, PROTOCOL_VERSION,
 };
 use crate::registry::{Registry, RegistryConfig};
-use crate::scheduler::{SimFailure, SimOutput, StimData};
+use crate::scheduler::{SimFailure, SimOutput};
 use crate::signal;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -497,67 +497,34 @@ fn run_sim(
     {
         return admit_error_response(e);
     }
-    let pi = served.nn.num_primary_inputs;
-    let data: StimData = match stim {
-        StimPayload::Text(text) => match c2nn_core::parse_stim(&text, pi) {
-            Ok(s) => s.into(),
-            Err(e) => {
-                return Response::Error {
-                    message: e.to_string(),
-                }
-            }
-        },
-        // Packed planes flow to the scheduler as-is — no per-lane parse,
-        // no Vec<bool> expansion. Only the width needs checking here; the
-        // bit-plane shape is already validated by the codec.
-        StimPayload::Packed(planes) => {
-            if planes.features() != pi {
-                return Response::Error {
-                    message: format!(
-                        "stimulus planes carry {} input bits; model '{model}' expects {pi}",
-                        planes.features()
-                    ),
-                };
-            }
-            planes.into()
-        }
+    let text = matches!(stim, StimPayload::Text(_));
+    let planes = match decode_stim(stim, model, served.nn.num_primary_inputs) {
+        Ok(planes) => planes,
+        Err(message) => return Response::Error { message },
     };
     let deadline = deadline_ms.map(|ms| received + Duration::from_millis(ms));
-    let rx = served.submit(data, deadline);
+    let rx = served.submit(planes, deadline);
     match rx.recv() {
-        Ok(result) => sim_reply(result),
+        Ok(result) => sim_reply(result, text),
         // The batcher dropped the reply channel — only happens at teardown.
         Err(_) => Response::ShuttingDown,
     }
 }
 
 /// Map a scheduler result to its wire reply — shared by the threaded path
-/// (after `rx.recv()`) and the event loop's completion hook. Packed
-/// results stay packed (the codec decides how to render them); lane
-/// results keep the legacy MSB-first strings.
-pub(crate) fn sim_reply(result: Result<SimOutput, SimFailure>) -> Response {
+/// (after `rx.recv()`) and the event loop's completion hook. The reply
+/// takes the shape of the request: MSB-first strings for a text
+/// stimulus, the output planes as-is for a packed one.
+pub(crate) fn sim_reply(result: Result<SimOutput, SimFailure>, text: bool) -> Response {
     match result {
-        Ok(out) => {
-            let cycles = out.num_cycles() as u64;
-            let outputs = match out {
-                SimOutput::Lanes(lanes) => SimOutputs::Text(
-                    lanes
-                        .iter()
-                        .map(|cycle| {
-                            // LSB-first bit vector → MSB-first string,
-                            // mirroring the `.stim` input reading order
-                            cycle
-                                .iter()
-                                .rev()
-                                .map(|&b| if b { '1' } else { '0' })
-                                .collect()
-                        })
-                        .collect(),
-                ),
-                SimOutput::Packed(planes) => SimOutputs::Packed(planes),
-            };
-            Response::SimResult { outputs, cycles }
-        }
+        Ok(SimOutput { planes }) => Response::SimResult {
+            cycles: planes.batch() as u64,
+            outputs: if text {
+                SimOutputs::Text(planes_to_output_strings(&planes))
+            } else {
+                SimOutputs::Packed(planes)
+            },
+        },
         Err(SimFailure::DeadlineExceeded) => Response::DeadlineExceeded,
         Err(SimFailure::ShuttingDown) => Response::ShuttingDown,
         Err(failure @ SimFailure::Failed(_)) => Response::Error {

@@ -6,12 +6,14 @@
 //! This is the acceptance gate for the binary codec: the packed wire
 //! form is only allowed to change how bits travel, never which bits.
 
-use c2nn_core::{compile, CompileOptions};
+use c2nn_circuits::generators::counter;
+use c2nn_core::{compile, BitTensor, CompileOptions};
 use c2nn_hal::conformance::suite_workloads;
 use c2nn_hal::{BackendRegistry, Choice};
 use c2nn_refsim::CycleSim;
+use c2nn_serve::protocol::{Request, Response, SimOutputs, StimPayload};
 use c2nn_serve::scheduler::BatchConfig;
-use c2nn_serve::server::{spawn_server, ServerConfig};
+use c2nn_serve::server::{spawn_server, IoModel, ServerConfig};
 use c2nn_serve::{Client, RegistryConfig, WireFormat};
 use std::time::Duration;
 
@@ -141,6 +143,71 @@ fn every_backend_and_circuit_is_bit_exact_over_both_wires() {
                         );
                     }
                 }
+            }
+        }
+        server.shutdown();
+        server.join();
+    }
+}
+
+/// The reply takes the shape of the request under both codecs and both
+/// I/O models: text in gets MSB-first text out, packed in gets packed out
+/// — down to a zero-cycle stimulus (a comment-only `.stim`, or planes with
+/// `batch = 0`), which gets a zero-cycle `SimResult`.
+#[test]
+fn reply_shape_follows_the_stimulus_down_to_zero_cycles() {
+    for io in [IoModel::Threaded, IoModel::Auto] {
+        let server = spawn_server(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            io,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        // 4-bit counter: one enable input, four outputs
+        let nn = compile(&counter(4), CompileOptions::with_l(4)).unwrap();
+        server.registry().install("ctr", nn).unwrap();
+        let addr = server.local_addr().to_string();
+        for wire in [WireFormat::Json, WireFormat::Binary] {
+            let label = format!("{io:?}/{wire:?}");
+            let mut client = Client::connect_wire(&addr, wire).unwrap();
+            let mut sim = |stim: StimPayload| {
+                let req = Request::Sim {
+                    model: "ctr".to_string(),
+                    stim,
+                    deadline_ms: None,
+                };
+                match client.request(&req) {
+                    Ok(Response::SimResult { outputs, cycles }) => {
+                        assert_eq!(outputs.cycles() as u64, cycles, "{label}: cycle count");
+                        outputs
+                    }
+                    other => panic!("{label}: expected a SimResult, got {other:?}"),
+                }
+            };
+            for (text, want) in [
+                ("1 x3\n", vec!["0000", "0001", "0010"]),
+                ("# idle\n", vec![]),
+            ] {
+                assert_eq!(
+                    sim(StimPayload::Text(text.to_string())),
+                    SimOutputs::Text(want.iter().map(|s| s.to_string()).collect()),
+                    "{label}: text stimulus {text:?}"
+                );
+            }
+            let mut ones = BitTensor::zeros(1, 3);
+            ones.data_mut()[0] = 0b111;
+            let mut want = BitTensor::zeros(4, 3);
+            want.set_bit(0, 1, true); // 0001 at cycle 1
+            want.set_bit(1, 2, true); // 0010 at cycle 2
+            for (planes, want) in [
+                (ones, want),
+                (BitTensor::zeros(1, 0), BitTensor::zeros(4, 0)),
+            ] {
+                assert_eq!(
+                    sim(StimPayload::Packed(planes)),
+                    SimOutputs::Packed(want),
+                    "{label}: packed stimulus"
+                );
             }
         }
         server.shutdown();
