@@ -1,13 +1,17 @@
 //! Bit-plane throughput gate (CI): race the bit-plane backend against the
-//! pooled-CSR simulator on every suite circuit, write
+//! pooled-CSR simulator on every suite circuit, time the same program
+//! behind the HAL (`Plan::execute_planes`), write
 //! `results/BENCH_bitplane.json`, and **fail** (exit 1) if the best
-//! speedup falls below `--min-speedup` (default 10×) or popcount
-//! fallbacks stop being rare (≥1% of a circuit's rows — cse coefficient
-//! merging leaves a handful of weight-2 rows on the full DMA, which is
-//! fine; a legalization regression is not).
+//! speedup falls below `--min-speedup` (default 10×), if any circuit's
+//! HAL throughput falls below `--min-hal-ratio` of its raw step (default
+//! 0.25: the transposed loop read 0.30–2.9 per circuit, the per-bit loop
+//! it replaced 0.10–0.36), or if popcount fallbacks stop being rare (≥1% of
+//! a circuit's rows — cse coefficient merging leaves a handful of
+//! weight-2 rows on the full DMA, which is fine; a legalization
+//! regression is not).
 //!
 //! ```text
-//! bitplane_throughput [--l N] [--batch N] [--budget-ms N] [--min-speedup X]
+//! bitplane_throughput [--l N] [--batch N] [--budget-ms N] [--min-speedup X] [--min-hal-ratio X]
 //! ```
 
 use c2nn_bench::experiments::{bitplane_throughput, format_bitplane};
@@ -27,6 +31,7 @@ fn main() {
     let batch: usize = flag(&args, "--batch", 4096);
     let budget_ms: u64 = flag(&args, "--budget-ms", 200);
     let min_speedup: f64 = flag(&args, "--min-speedup", 10.0);
+    let min_hal_ratio: f64 = flag(&args, "--min-hal-ratio", 0.25);
 
     let rows = bitplane_throughput(l, batch, Duration::from_millis(budget_ms));
     print!("{}", format_bitplane(&rows));
@@ -56,6 +61,13 @@ fn main() {
     eprintln!("best speedup over pooled CSR: {best:.1}x (gate: >= {min_speedup:.1}x)");
     if best < min_speedup {
         eprintln!("FAIL: bit-plane backend must beat pooled CSR by {min_speedup:.1}x somewhere");
+        failed = true;
+    }
+    for r in rows.iter().filter(|r| r.hal_over_raw < min_hal_ratio) {
+        eprintln!(
+            "FAIL: {} keeps {:.2} of its raw step throughput behind the HAL (gate: >= {min_hal_ratio:.2})",
+            r.circuit, r.hal_over_raw
+        );
         failed = true;
     }
     if failed {

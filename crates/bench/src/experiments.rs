@@ -680,6 +680,12 @@ pub struct BitplaneRow {
     /// bit-plane backend on `Device::Parallel`, gates·cycles/s
     pub bitplane_gcs: f64,
     pub speedup: f64,
+    /// the same plan behind the HAL: `Plan::execute_planes` running
+    /// `batch` testbenches of [`HAL_CYCLES`] cycles each, gates·cycles/s
+    pub hal_gcps: f64,
+    /// `hal_gcps / bitplane_gcs`: what the testbench loop around the raw
+    /// step keeps of its throughput
+    pub hal_over_raw: f64,
     /// bit-plane plan shape: layer count and op mix
     pub plan_layers: usize,
     pub gate_ops: usize,
@@ -694,17 +700,27 @@ json_obj!(BitplaneRow {
     csr_gcs,
     bitplane_gcs,
     speedup,
+    hal_gcps,
+    hal_over_raw,
     plan_layers,
     gate_ops,
     weighted_ops
 });
 
+/// Testbench length of the HAL timing in [`bitplane_throughput`]: one full
+/// 64-cycle block of the lockstep loop's gather/scatter transposes.
+pub const HAL_CYCLES: usize = 64;
+
 /// Race the bit-plane backend against the pooled-CSR path on every suite
 /// circuit: same compile pipeline L, same batch width, both on the global
 /// thread pool, zero stimulus (throughput is data-independent — every lane
-/// runs every op).
+/// runs every op). The same bit-plane program is also timed behind the
+/// HAL, through `Plan::execute_planes` on the same zero stimulus, so the
+/// cost of the testbench loop around the raw step shows.
 pub fn bitplane_throughput(l: usize, batch: usize, budget: Duration) -> Vec<BitplaneRow> {
     use c2nn_core::{compile_bitplane, BitTensor, BitplaneSimulator};
+    use c2nn_hal::{Backend, BitplaneBackend};
+    use std::sync::Arc;
     let mut rows = Vec::new();
     for bench in table1_suite() {
         let nl = (bench.build)();
@@ -720,18 +736,34 @@ pub fn bitplane_throughput(l: usize, batch: usize, budget: Duration) -> Vec<Bitp
             seconds: csr_secs,
         };
 
-        let (_, plan) = compile_bitplane(&nl, CompileOptions::with_l(l)).expect("legalize");
+        let (bp_nn, plan) = compile_bitplane(&nl, CompileOptions::with_l(l)).expect("legalize");
         let census = plan.op_census();
         let mut bp_sim = BitplaneSimulator::new(&plan, batch, Device::Parallel);
         let packed = BitTensor::zeros(plan.num_primary_inputs, batch);
         let mut out = BitTensor::zeros(0, 0);
-        let bp_secs = time_adaptive(budget, 2, || {
-            bp_sim.step_packed_into(&packed, &mut out).expect("step");
-        });
+        let hal_plan = BitplaneBackend.admit(&Arc::new(bp_nn)).expect("admit");
+        let stims = vec![BitTensor::zeros(plan.num_primary_inputs, HAL_CYCLES); batch];
+        // best of two alternating rounds: `hal_over_raw` divides two
+        // timings, and on a shared host one slow spell in either would
+        // move the ratio
+        let (mut bp_secs, mut hal_secs) = (f64::MAX, f64::MAX);
+        for _ in 0..2 {
+            bp_secs = bp_secs.min(time_adaptive(budget, 2, || {
+                bp_sim.step_packed_into(&packed, &mut out).expect("step");
+            }));
+            hal_secs = hal_secs.min(time_adaptive(budget, 1, || {
+                hal_plan.execute_planes(&stims).expect("execute");
+            }));
+        }
         let bp = Throughput {
             gates: nn.gate_count,
             cycles: batch as f64,
             seconds: bp_secs,
+        };
+        let hal = Throughput {
+            gates: nn.gate_count,
+            cycles: (batch * HAL_CYCLES) as f64,
+            seconds: hal_secs,
         };
 
         let row = BitplaneRow {
@@ -742,16 +774,20 @@ pub fn bitplane_throughput(l: usize, batch: usize, budget: Duration) -> Vec<Bitp
             csr_gcs: csr.gcs(),
             bitplane_gcs: bp.gcs(),
             speedup: bp.gcs() / csr.gcs(),
+            hal_gcps: hal.gcs(),
+            hal_over_raw: hal.gcs() / bp.gcs(),
             plan_layers: plan.num_layers(),
             gate_ops: census.total() - census.weighted,
             weighted_ops: census.weighted,
         };
         eprintln!(
-            "[bitplane] {}: csr {} bitplane {} g*c/s — {:.1}x ({} gate ops, {} weighted)",
+            "[bitplane] {}: csr {} bitplane {} g*c/s — {:.1}x, hal {} ({:.2} of raw) ({} gate ops, {} weighted)",
             bench.name,
             sci(row.csr_gcs),
             sci(row.bitplane_gcs),
             row.speedup,
+            sci(row.hal_gcps),
+            row.hal_over_raw,
             row.gate_ops,
             row.weighted_ops,
         );
@@ -762,7 +798,7 @@ pub fn bitplane_throughput(l: usize, batch: usize, budget: Duration) -> Vec<Bitp
 
 pub fn format_bitplane(rows: &[BitplaneRow]) -> String {
     let mut s = format!(
-        "{:<17} {:>2} {:>9} {:>6} | {:>10} {:>10} {:>8} | {:>6} {:>8} {:>8}\n",
+        "{:<17} {:>2} {:>9} {:>6} | {:>10} {:>10} {:>8} | {:>10} {:>7} | {:>6} {:>8} {:>8}\n",
         "Circuit",
         "L",
         "Gates",
@@ -770,15 +806,17 @@ pub fn format_bitplane(rows: &[BitplaneRow]) -> String {
         "csr g*c/s",
         "bp g*c/s",
         "speedup",
+        "hal g*c/s",
+        "hal/raw",
         "layers",
         "gate-ops",
         "weighted"
     );
-    s.push_str(&"-".repeat(100));
+    s.push_str(&"-".repeat(122));
     s.push('\n');
     for r in rows {
         s.push_str(&format!(
-            "{:<17} {:>2} {:>9} {:>6} | {:>10} {:>10} {:>7.1}x | {:>6} {:>8} {:>8}\n",
+            "{:<17} {:>2} {:>9} {:>6} | {:>10} {:>10} {:>7.1}x | {:>10} {:>7.2} | {:>6} {:>8} {:>8}\n",
             r.circuit,
             r.l,
             r.gates,
@@ -786,6 +824,8 @@ pub fn format_bitplane(rows: &[BitplaneRow]) -> String {
             sci(r.csr_gcs),
             sci(r.bitplane_gcs),
             r.speedup,
+            sci(r.hal_gcps),
+            r.hal_over_raw,
             r.plan_layers,
             r.gate_ops,
             r.weighted_ops,

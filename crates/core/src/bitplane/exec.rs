@@ -18,6 +18,7 @@ use super::pack::BitTensor;
 use super::plan::{BitLayer, BitplaneNn, RowOp};
 use c2nn_tensor::par::par_chunks_mut;
 use c2nn_tensor::Device;
+use std::cell::RefCell;
 
 /// Ping-pong buffers for a forward pass, reusable across calls.
 #[derive(Clone, Debug, Default)]
@@ -130,6 +131,14 @@ fn reduce(out: &mut [u64], x: &BitTensor, srcs: &[u32], or: bool, negate: bool) 
     }
 }
 
+thread_local! {
+    /// The two bit-sliced counters of [`eval_weighted`], kept per thread so
+    /// a forward pass allocates nothing per row once each pool worker's
+    /// pair has grown to the widest counter it has needed.
+    static COUNTERS: RefCell<(Vec<u64>, Vec<u64>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
 /// Exact 64-lane threshold: `A > B` per lane, with the two sides
 /// accumulated as bit-sliced counters word position by word position.
 fn eval_weighted(
@@ -140,26 +149,36 @@ fn eval_weighted(
     x: &BitTensor,
     out: &mut [u64],
 ) {
-    let mut a: Vec<u64> = Vec::with_capacity(32);
-    let mut b: Vec<u64> = Vec::with_capacity(32);
-    for (k, o) in out.iter_mut().enumerate() {
-        a.clear();
-        b.clear();
-        add_scaled(&mut a, !0, pos_bias);
-        for &(c, w) in plus {
-            add_scaled(&mut a, x.feature_words(c as usize)[k], w);
+    COUNTERS.with(|counters| {
+        let (a, b) = &mut *counters.borrow_mut();
+        size_counter(a, pos_bias, plus);
+        size_counter(b, neg_bias, minus);
+        for (k, o) in out.iter_mut().enumerate() {
+            a.fill(0);
+            b.fill(0);
+            add_scaled(a, !0, pos_bias);
+            for &(c, w) in plus {
+                add_scaled(a, x.feature_words(c as usize)[k], w);
+            }
+            add_scaled(b, !0, neg_bias);
+            for &(c, w) in minus {
+                add_scaled(b, x.feature_words(c as usize)[k], w);
+            }
+            *o = gt(a, b);
         }
-        add_scaled(&mut b, !0, neg_bias);
-        for &(c, w) in minus {
-            add_scaled(&mut b, x.feature_words(c as usize)[k], w);
-        }
-        *o = gt(&a, &b);
-    }
+    });
+}
+
+/// Give `acc` exactly the digit planes a side's largest sum (its bias
+/// plus every weight) needs, so no carry ever ripples past its end.
+fn size_counter(acc: &mut Vec<u64>, bias: u64, terms: &[(u32, u64)]) {
+    let max = terms.iter().fold(bias as u128, |s, &(_, w)| s + w as u128);
+    acc.resize((u128::BITS - max.leading_zeros()) as usize, 0);
 }
 
 /// `acc += w * plane`, lane-wise: add `plane` into digit position `j` for
 /// every set bit `j` of `w`.
-fn add_scaled(acc: &mut Vec<u64>, plane: u64, mut w: u64) {
+fn add_scaled(acc: &mut [u64], plane: u64, mut w: u64) {
     let mut j = 0;
     while w != 0 {
         if w & 1 == 1 {
@@ -172,11 +191,8 @@ fn add_scaled(acc: &mut Vec<u64>, plane: u64, mut w: u64) {
 
 /// Ripple-carry add of one plane into digit position `p` of a bit-sliced
 /// counter (each `acc[p]` holds digit `p` of 64 independent lane counts).
-fn add_plane(acc: &mut Vec<u64>, mut carry: u64, mut p: usize) {
+fn add_plane(acc: &mut [u64], mut carry: u64, mut p: usize) {
     while carry != 0 {
-        if p >= acc.len() {
-            acc.resize(p + 1, 0);
-        }
         let t = acc[p] ^ carry;
         carry &= acc[p];
         acc[p] = t;
@@ -206,12 +222,12 @@ mod tests {
     #[test]
     fn bit_sliced_counters_count_exactly() {
         // add planes with known popcount patterns and read back the digits
-        let mut acc = Vec::new();
+        let mut acc = [0u64; 64];
         add_plane(&mut acc, 0b1011, 0); // lanes 0,1,3 += 1
         add_plane(&mut acc, 0b0011, 0); // lanes 0,1   += 1
         add_plane(&mut acc, 0b0001, 0); // lane 0      += 1
                                         // lane counts: 3, 2, 0, 1
-        let digit = |p: usize, l: usize| acc.get(p).copied().unwrap_or(0) >> l & 1;
+        let digit = |p: usize, l: usize| acc[p] >> l & 1;
         let count = |l: usize| digit(0, l) + 2 * digit(1, l) + 4 * digit(2, l);
         assert_eq!([count(0), count(1), count(2), count(3)], [3, 2, 0, 1]);
     }
@@ -226,8 +242,8 @@ mod tests {
             (7, 9, 0, 4),
             (100, 1, 0, 63),
         ] {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
+            let mut a = [0u64; 64];
+            let mut b = [0u64; 64];
             add_scaled(&mut a, !0, bias_a);
             add_scaled(&mut a, lanes, w_a);
             add_scaled(&mut b, !0, bias_b);

@@ -36,6 +36,6 @@ mod plan;
 mod sim;
 
 pub use exec::BitplaneScratch;
-pub use pack::BitTensor;
+pub use pack::{transpose64, BitTensor};
 pub use plan::{BitLayer, BitplaneError, BitplaneNn, OpCensus, RowClassCensus, RowOp};
 pub use sim::{BitplaneRunner, BitplaneSimulator};

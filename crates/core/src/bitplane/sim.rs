@@ -178,49 +178,25 @@ impl<'a, T: Scalar> BitplaneRunner<'a, T> {
 
     /// Advance every session one clock cycle in lockstep; same contract as
     /// [`SessionRunner::step`](crate::SessionRunner::step) — the batch
-    /// composition may change freely between calls. Packs the lanes and
-    /// runs [`step_planes`](BitplaneRunner::step_planes).
+    /// composition may change freely between calls.
     pub fn step(
         &mut self,
         sessions: &mut [Session<T>],
         inputs: &[Vec<bool>],
     ) -> Result<Vec<Vec<bool>>, SimError> {
-        if inputs.len() != sessions.len() {
-            return Err(SimError::BatchMismatch {
-                expected: sessions.len(),
-                got: inputs.len(),
-            });
-        }
-        let x = BitTensor::from_lanes_checked(self.nn.num_primary_inputs, inputs)?;
-        Ok(self.step_planes(sessions, &x)?.to_lanes())
-    }
-
-    /// The packed step: `inputs` is `num_primary_inputs × sessions.len()`
-    /// planes, copied in word-wise, and the outputs come back packed
-    /// (`num_primary_outputs × sessions.len()`, ragged tails zeroed).
-    pub fn step_planes(
-        &mut self,
-        sessions: &mut [Session<T>],
-        inputs: &BitTensor,
-    ) -> Result<BitTensor, SimError> {
         let pi = self.nn.num_primary_inputs;
         let po = self.nn.num_primary_outputs;
         let s = self.nn.state_bits();
         let b = sessions.len();
-        if self.nn.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
-        if inputs.batch() != b {
+        if inputs.len() != b {
             return Err(SimError::BatchMismatch {
                 expected: b,
-                got: inputs.batch(),
+                got: inputs.len(),
             });
         }
-        if inputs.features() != pi {
-            return Err(SimError::InputWidth {
-                expected: pi,
-                got: inputs.features(),
-            });
+        let x = BitTensor::from_lanes_checked(pi, inputs)?;
+        if self.nn.layers.is_empty() {
+            return Err(SimError::NoLayers);
         }
         for sess in sessions.iter() {
             if sess.state_raw().len() != s {
@@ -231,12 +207,11 @@ impl<'a, T: Scalar> BitplaneRunner<'a, T> {
             }
         }
         if b == 0 {
-            return Ok(BitTensor::zeros(po, 0));
+            return Ok(Vec::new());
         }
         self.xbuf.resize_to(pi + s, b);
         let w = self.xbuf.words_per_feature();
-        debug_assert_eq!(inputs.words_per_feature(), w);
-        self.xbuf.data_mut()[..pi * w].copy_from_slice(inputs.data());
+        self.xbuf.data_mut()[..pi * w].copy_from_slice(x.data());
         self.xbuf.data_mut()[pi * w..].fill(0);
         for (l, sess) in sessions.iter().enumerate() {
             for (f, &v) in sess.state_raw().iter().enumerate() {
@@ -249,11 +224,9 @@ impl<'a, T: Scalar> BitplaneRunner<'a, T> {
             .nn
             .forward_with(&self.xbuf, self.device, &mut self.scratch);
         debug_assert_eq!(y.features(), po + s);
-        let mut outputs = BitTensor::zeros(po, b);
-        outputs
-            .data_mut()
-            .copy_from_slice(&y.data()[..po * y.words_per_feature()]);
-        outputs.mask_tails();
+        let outputs = (0..b)
+            .map(|l| (0..po).map(|f| y.get_bit(f, l)).collect())
+            .collect();
         for (l, sess) in sessions.iter_mut().enumerate() {
             for (f, v) in sess.state_raw_mut().iter_mut().enumerate() {
                 *v = if y.get_bit(po + f, l) {

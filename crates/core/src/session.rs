@@ -16,7 +16,6 @@
 //! can change freely between cycles while every lane's own trajectory stays
 //! bit-exact.
 
-use crate::bitplane::BitTensor;
 use crate::compile::CompiledNn;
 use crate::sim::SimError;
 use c2nn_tensor::{Dense, Device, Scalar};
@@ -102,8 +101,7 @@ impl<'a, T: Scalar> SessionRunner<'a, T> {
 
     /// Advance every session one clock cycle in lockstep: `sessions[l]`
     /// consumes `inputs[l]` (primary-input bits, LSB-first) and its state is
-    /// updated in place. Returns the primary outputs per lane. Packs the
-    /// lanes and runs [`step_planes`](SessionRunner::step_planes).
+    /// updated in place. Returns the primary outputs per lane.
     ///
     /// The batch is whatever slice the caller assembled — lanes may come
     /// and go between calls; each session's trajectory is identical to
@@ -114,42 +112,24 @@ impl<'a, T: Scalar> SessionRunner<'a, T> {
         sessions: &mut [Session<T>],
         inputs: &[Vec<bool>],
     ) -> Result<Vec<Vec<bool>>, SimError> {
-        if inputs.len() != sessions.len() {
-            return Err(SimError::BatchMismatch {
-                expected: sessions.len(),
-                got: inputs.len(),
-            });
-        }
-        let x = BitTensor::from_lanes_checked(self.nn.num_primary_inputs, inputs)?;
-        Ok(self.step_planes(sessions, &x)?.to_lanes())
-    }
-
-    /// The packed step: `inputs` is `num_primary_inputs × sessions.len()`
-    /// planes and the outputs come back packed
-    /// (`num_primary_outputs × sessions.len()`, ragged tails zero).
-    pub fn step_planes(
-        &mut self,
-        sessions: &mut [Session<T>],
-        inputs: &BitTensor,
-    ) -> Result<BitTensor, SimError> {
         let pi = self.nn.num_primary_inputs;
         let po = self.nn.num_primary_outputs;
         let s = self.nn.state_bits();
         let b = sessions.len();
-        if self.nn.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
-        if inputs.batch() != b {
+        if inputs.len() != b {
             return Err(SimError::BatchMismatch {
                 expected: b,
-                got: inputs.batch(),
+                got: inputs.len(),
             });
         }
-        if inputs.features() != pi {
+        if let Some(lane) = inputs.iter().find(|lane| lane.len() != pi) {
             return Err(SimError::InputWidth {
                 expected: pi,
-                got: inputs.features(),
+                got: lane.len(),
             });
+        }
+        if self.nn.layers.is_empty() {
+            return Err(SimError::NoLayers);
         }
         for sess in sessions.iter() {
             if sess.state.len() != s {
@@ -159,24 +139,17 @@ impl<'a, T: Scalar> SessionRunner<'a, T> {
                 });
             }
         }
-        let mut outputs = BitTensor::zeros(po, b);
         if b == 0 {
-            return Ok(outputs);
+            return Ok(Vec::new());
         }
         // x = [inputs ; state], feature-major: feature f of lane l at
         // data[f * b + l]
         self.xbuf.resize_to(pi + s, b);
         let data = self.xbuf.data_mut();
-        for f in 0..pi {
-            for l in 0..b {
-                data[f * b + l] = if inputs.get_bit(f, l) {
-                    T::ONE
-                } else {
-                    T::ZERO
-                };
+        for (l, (lane, sess)) in inputs.iter().zip(sessions.iter()).enumerate() {
+            for (f, &bit) in lane.iter().enumerate() {
+                data[f * b + l] = if bit { T::ONE } else { T::ZERO };
             }
-        }
-        for (l, sess) in sessions.iter().enumerate() {
             for (f, &v) in sess.state.iter().enumerate() {
                 data[(pi + f) * b + l] = v;
             }
@@ -186,13 +159,9 @@ impl<'a, T: Scalar> SessionRunner<'a, T> {
             .forward_with(&self.xbuf, self.device, &mut self.scratch);
         debug_assert_eq!(y.rows(), po + s);
         let ydata = y.data();
-        for f in 0..po {
-            for l in 0..b {
-                if ydata[f * b + l] == T::ONE {
-                    outputs.set_bit(f, l, true);
-                }
-            }
-        }
+        let outputs = (0..b)
+            .map(|l| (0..po).map(|f| ydata[f * b + l] == T::ONE).collect())
+            .collect();
         for (l, sess) in sessions.iter_mut().enumerate() {
             for f in 0..s {
                 sess.state[f] = ydata[(po + f) * b + l];

@@ -2,9 +2,10 @@
 //! inverses and lane-scatter must be exact for arbitrary feature widths
 //! and batch sizes 1..=300 — including ragged batches whose last word is
 //! only partially filled — and tail garbage must never leak into a valid
-//! lane.
+//! lane. The 64×64 bit-matrix transpose that reshapes testbench planes
+//! into lane planes matches a bit-by-bit reference and is an involution.
 
-use c2nn_core::bitplane::BitTensor;
+use c2nn_core::bitplane::{transpose64, BitTensor};
 use proptest::prelude::*;
 
 /// Derive lane bit vectors from a flat bool pool so shrinking stays
@@ -87,5 +88,38 @@ proptest! {
         let r = batch % 64;
         let want = if r == 0 { !0u64 } else { (1u64 << r) - 1 };
         prop_assert_eq!(t.tail_mask(), want);
+    }
+
+    /// `transpose64` moves bit `c` of row `r` to bit `r` of row `c`, the
+    /// same matrix a `get_bit`/`set_bit` loop builds, and applying it
+    /// twice gives the input back.
+    #[test]
+    fn transpose64_matches_bitwise_reference_and_is_an_involution(
+        rows in proptest::collection::vec(any::<u64>(), 64),
+        density in 0u32..4,
+    ) {
+        // vary the density so sparse and dense matrices both show up
+        let rows: Vec<u64> = rows
+            .iter()
+            .zip(rows.iter().rev())
+            .map(|(&a, &b)| match density {
+                0 => a & b & b.rotate_left(17),
+                1 => a & b,
+                2 => a,
+                _ => a | b,
+            })
+            .collect();
+        let m = BitTensor::from_words(64, 64, rows.clone()).unwrap();
+        let mut want = BitTensor::zeros(64, 64);
+        for r in 0..64 {
+            for c in 0..64 {
+                want.set_bit(c, r, m.get_bit(r, c));
+            }
+        }
+        let mut got: [u64; 64] = rows.clone().try_into().unwrap();
+        transpose64(&mut got);
+        prop_assert_eq!(&got[..], want.data());
+        transpose64(&mut got);
+        prop_assert_eq!(&got[..], &rows[..]);
     }
 }

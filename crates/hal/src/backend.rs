@@ -5,10 +5,11 @@
 //! anything itself — it *admits* a compiled network, producing a
 //! [`Plan`]: the backend-specific legalized artifact (a CSR network as-is,
 //! a bit-plane program, a future GPU buffer set) plus a capabilities
-//! [`Manifest`] the cost model prices. A plan manufactures resumable
-//! [`Runner`]s and runs ragged testbenches to completion with one of them
+//! [`Manifest`] the cost model prices. A plan runs ragged testbenches to
+//! completion on a fixed-batch, state-resident [`Lockstep`]
 //! ([`Plan::execute_planes`], the loop both the serve scheduler and
-//! offline [`Plan::execute_batch`] go through).
+//! offline [`Plan::execute_batch`] go through), and manufactures
+//! resumable per-lane [`Runner`]s for callers that step `Session`s.
 //!
 //! Admission is fallible by design: a backend that cannot run a model
 //! (e.g. bit-plane legalization of non-integral weights) returns a typed
@@ -16,6 +17,7 @@
 //! the next-best candidate instead of discovering the failure inside a
 //! batcher thread.
 
+use c2nn_core::bitplane::transpose64;
 use c2nn_core::{BenchResult, BitTensor, CompileOptions, CompiledNn, Session, SimError, Stimulus};
 use std::fmt;
 use std::sync::Arc;
@@ -107,16 +109,18 @@ pub trait Runner {
         sessions: &mut [Session<f32>],
         inputs: &[Vec<bool>],
     ) -> Result<Vec<Vec<bool>>, SimError>;
+}
 
-    /// Packed twin of [`step`](Runner::step): inputs arrive as feature-major
-    /// bit planes (`num_primary_inputs × sessions.len()`) and outputs come
-    /// back packed (`num_primary_outputs × sessions.len()`, ragged tails
-    /// zeroed), with the same typed shape errors.
-    fn step_planes(
-        &mut self,
-        sessions: &mut [Session<f32>],
-        inputs: &BitTensor,
-    ) -> Result<BitTensor, SimError>;
+/// A fixed batch of lanes advancing in lockstep with its recurrent state
+/// resident in the engine (planes for bit-plane, a `Dense` tensor for
+/// CSR): nothing per lane moves between cycles but the I/O planes.
+/// [`Plan::execute_planes`] drives one per call.
+pub trait Lockstep {
+    /// Advance every lane one clock: `inputs` is
+    /// `num_primary_inputs × batch` planes; the outputs land in `outputs`
+    /// (resized to `num_primary_outputs × batch`). Ragged lane tails of
+    /// `outputs` are unspecified.
+    fn step(&mut self, inputs: &BitTensor, outputs: &mut BitTensor) -> Result<(), SimError>;
 }
 
 /// An admitted model on one backend: the legalized artifact plus its
@@ -134,19 +138,29 @@ pub trait Plan: Send + Sync {
     /// interchangeable).
     fn nn(&self) -> &Arc<CompiledNn<f32>>;
 
-    /// Manufacture a fresh resumable runner over this plan. Runners are
-    /// cheap (scratch buffers only): [`execute_planes`](Plan::execute_planes)
-    /// builds one per call.
+    /// Manufacture a fresh resumable runner over this plan, for callers
+    /// that step their own `Session`s (runners are cheap: scratch buffers
+    /// only).
     fn runner(&self) -> Box<dyn Runner + '_>;
+
+    /// A fixed-batch stepper of `batch` lanes, all at the power-on state,
+    /// whose state never leaves the engine between cycles.
+    fn lockstep(&self, batch: usize) -> Box<dyn Lockstep + '_>;
 
     /// Run a set of ragged testbenches to completion on packed planes:
     /// testbench `j` arrives as `num_primary_inputs × cycles_j` and comes
     /// back as `num_primary_outputs × cycles_j` (ragged tails zero). One
-    /// runner advances every testbench with one
-    /// [`step_planes`](Runner::step_planes) call per cycle; a testbench
-    /// that has run out of cycles idles on zero inputs until the longest
-    /// finishes. A zero-cycle testbench carries no input bits, so only
+    /// [`Lockstep`] of `stims.len()` lanes advances every testbench; a
+    /// testbench that has run out of cycles idles on zero inputs until
+    /// the longest finishes, and input bits past its last cycle are
+    /// ignored. A zero-cycle testbench carries no input bits, so only
     /// testbenches with cycles are width-checked.
+    ///
+    /// The reshaping between testbench planes (cycles along a word) and
+    /// lane planes (testbenches along a word) is word work only: per
+    /// block of 64 cycles, one 64×64 [`transpose64`] per
+    /// `(feature, 64-testbench word)` on the way in and on the way out.
+    /// Only one block of per-cycle planes is held at a time.
     fn execute_planes(&self, stims: &[BitTensor]) -> Result<Vec<BitTensor>, SimError> {
         let nn = self.nn();
         let (pi, po) = (nn.num_primary_inputs, nn.num_primary_outputs);
@@ -161,23 +175,54 @@ pub trait Plan: Send + Sync {
             .map(|s| BitTensor::zeros(po, s.batch()))
             .collect();
         let max_cycles = stims.iter().map(BitTensor::batch).max().unwrap_or(0);
-        let mut runner = self.runner();
-        let mut sessions: Vec<Session<f32>> = stims.iter().map(|_| Session::new(nn)).collect();
-        let mut x = BitTensor::zeros(pi, stims.len());
-        for c in 0..max_cycles {
-            x.data_mut().fill(0);
-            for (j, s) in stims.iter().enumerate().filter(|(_, s)| c < s.batch()) {
+        if max_cycles == 0 {
+            return Ok(outs);
+        }
+        let lanes = stims.len();
+        let words = lanes.div_ceil(64);
+        let mut engine = self.lockstep(lanes);
+        // One block of transposed planes: 64-word chunk `f * words + w`
+        // holds word `w` of lane plane `f` for each of the block's 64
+        // cycles, so cycle `c` of a lane plane is word `c` of every chunk.
+        let mut xin = vec![0u64; pi * words * 64];
+        let mut yout = vec![0u64; po * words * 64];
+        let mut x = BitTensor::zeros(pi, lanes);
+        let mut y = BitTensor::zeros(po, lanes);
+        for block in 0..max_cycles.div_ceil(64) {
+            // gather: before the transpose, row r of chunk (f, w) is
+            // testbench 64w + r's 64 cycles of feature f
+            for (w, group) in stims.chunks(64).enumerate() {
                 for f in 0..pi {
-                    if s.get_bit(f, c) {
-                        x.set_bit(f, j, true);
+                    let rows = block_chunk(&mut xin, f * words + w);
+                    rows.fill(0);
+                    for (row, stim) in rows.iter_mut().zip(group) {
+                        *row = block_word(stim, f, block);
                     }
+                    transpose64(rows);
                 }
             }
-            let y = runner.step_planes(&mut sessions, &x)?;
-            for (j, out) in outs.iter_mut().enumerate().filter(|(_, o)| c < o.batch()) {
+            for c in 0..(max_cycles - block * 64).min(64) {
+                for (word, chunk) in x.data_mut().iter_mut().zip(xin.chunks_exact(64)) {
+                    *word = chunk[c];
+                }
+                engine.step(&x, &mut y)?;
+                for (chunk, &word) in yout.chunks_exact_mut(64).zip(y.data()) {
+                    chunk[c] = word;
+                }
+            }
+            // scatter: after the transpose, row r of chunk (f, w) is
+            // testbench 64w + r's 64 cycles of output f (cycles this block
+            // did not run hold stale words from the last block; they land
+            // past every testbench's last cycle and are masked off)
+            for (w, group) in outs.chunks_mut(64).enumerate() {
                 for f in 0..po {
-                    if y.get_bit(f, j) {
-                        out.set_bit(f, c, true);
+                    let rows = block_chunk(&mut yout, f * words + w);
+                    transpose64(rows);
+                    for (out, &word) in group.iter_mut().zip(rows.iter()) {
+                        let mask = cycle_mask(out.batch(), block);
+                        if mask != 0 {
+                            out.feature_words_mut(f)[block] = word & mask;
+                        }
                     }
                 }
             }
@@ -202,6 +247,31 @@ pub trait Plan: Send + Sync {
                 cycles: out.to_lanes(),
             })
             .collect())
+    }
+}
+
+/// Chunk `i` of a transposed block buffer, as a transposable matrix.
+fn block_chunk(buf: &mut [u64], i: usize) -> &mut [u64; 64] {
+    (&mut buf[i * 64..(i + 1) * 64])
+        .try_into()
+        .expect("a 64-word range")
+}
+
+/// The valid cycles of word `block` of a `cycles`-long testbench plane.
+fn cycle_mask(cycles: usize, block: usize) -> u64 {
+    match cycles.saturating_sub(block * 64) {
+        0 => 0,
+        n if n >= 64 => !0,
+        n => (1 << n) - 1,
+    }
+}
+
+/// Word `block` of feature `f` of a testbench's input planes, with the
+/// bits past its last cycle cleared (zero once the testbench has ended).
+fn block_word(stim: &BitTensor, f: usize, block: usize) -> u64 {
+    match cycle_mask(stim.batch(), block) {
+        0 => 0,
+        mask => stim.feature_words(f)[block] & mask,
     }
 }
 

@@ -9,14 +9,19 @@
 //!   [`c2nn_core::bitplane`]). Requires exact integral weights; refuses
 //!   admission otherwise.
 //!
-//! All three step the same [`Session`](c2nn_core::Session) bookkeeping
-//! with bit-exact semantics — the shared conformance suite
-//! ([`crate::conformance`]) holds them to it.
+//! Each plan drives its engine's fixed-batch simulator as the
+//! state-resident [`Lockstep`] behind `execute_planes` (`Simulator` for
+//! the CSR engines, `BitplaneSimulator` for bit-plane) and its engine's
+//! session runner as the per-lane [`Runner`], with bit-exact semantics —
+//! the shared conformance suite ([`crate::conformance`]) holds all three
+//! to it.
 
-use crate::backend::{Backend, Manifest, Plan, Reject, RowClassCount, Runner};
-use c2nn_core::bitplane::{BitplaneNn, BitplaneRunner};
-use c2nn_core::{BitTensor, CompileOptions, CompiledNn, PassId, Session, SessionRunner, SimError};
-use c2nn_tensor::Device;
+use crate::backend::{Backend, Lockstep, Manifest, Plan, Reject, RowClassCount, Runner};
+use c2nn_core::bitplane::{BitplaneNn, BitplaneRunner, BitplaneSimulator};
+use c2nn_core::{
+    BitTensor, CompileOptions, CompiledNn, PassId, Session, SessionRunner, SimError, Simulator,
+};
+use c2nn_tensor::{Dense, Device};
 use std::sync::Arc;
 
 impl Runner for SessionRunner<'_, f32> {
@@ -26,14 +31,6 @@ impl Runner for SessionRunner<'_, f32> {
         inputs: &[Vec<bool>],
     ) -> Result<Vec<Vec<bool>>, SimError> {
         SessionRunner::step(self, sessions, inputs)
-    }
-
-    fn step_planes(
-        &mut self,
-        sessions: &mut [Session<f32>],
-        inputs: &BitTensor,
-    ) -> Result<BitTensor, SimError> {
-        SessionRunner::step_planes(self, sessions, inputs)
     }
 }
 
@@ -45,13 +42,50 @@ impl Runner for BitplaneRunner<'_, f32> {
     ) -> Result<Vec<Vec<bool>>, SimError> {
         BitplaneRunner::step(self, sessions, inputs)
     }
+}
 
-    fn step_planes(
-        &mut self,
-        sessions: &mut [Session<f32>],
-        inputs: &BitTensor,
-    ) -> Result<BitTensor, SimError> {
-        BitplaneRunner::step_planes(self, sessions, inputs)
+impl Lockstep for BitplaneSimulator<'_> {
+    fn step(&mut self, inputs: &BitTensor, outputs: &mut BitTensor) -> Result<(), SimError> {
+        self.step_packed_into(inputs, outputs)
+    }
+}
+
+/// The CSR engines' lockstep: a [`Simulator`] (state resident as a
+/// `Dense` tensor), with the I/O planes widened to and narrowed from one
+/// `f32` per lane at the engine boundary.
+struct CsrLockstep<'a> {
+    sim: Simulator<'a, f32>,
+    x: Dense<f32>,
+}
+
+impl Lockstep for CsrLockstep<'_> {
+    fn step(&mut self, inputs: &BitTensor, outputs: &mut BitTensor) -> Result<(), SimError> {
+        let b = inputs.batch();
+        self.x.resize_to(inputs.features(), b);
+        for (row, plane) in self
+            .x
+            .data_mut()
+            .chunks_mut(b.max(1))
+            .zip(inputs.data().chunks(inputs.words_per_feature().max(1)))
+        {
+            for (l, v) in row.iter_mut().enumerate() {
+                *v = (plane[l / 64] >> (l % 64) & 1) as f32;
+            }
+        }
+        let y = self.sim.try_step(&self.x)?;
+        outputs.resize_to(y.rows(), b);
+        let words = outputs.words_per_feature();
+        for (plane, row) in outputs
+            .data_mut()
+            .chunks_mut(words.max(1))
+            .zip(y.data().chunks(b.max(1)))
+        {
+            plane.fill(0);
+            for (l, &v) in row.iter().enumerate() {
+                plane[l / 64] |= ((v == 1.0) as u64) << (l % 64);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -101,6 +135,13 @@ impl Plan for CsrPlan {
 
     fn runner(&self) -> Box<dyn Runner + '_> {
         Box::new(SessionRunner::new(&self.nn, self.device))
+    }
+
+    fn lockstep(&self, batch: usize) -> Box<dyn Lockstep + '_> {
+        Box::new(CsrLockstep {
+            sim: Simulator::new(&self.nn, batch, self.device),
+            x: Dense::zeros(0, 0),
+        })
     }
 }
 
@@ -160,6 +201,14 @@ impl Plan for BitplanePlan {
 
     fn runner(&self) -> Box<dyn Runner + '_> {
         Box::new(BitplaneRunner::<f32>::new(&self.program, Device::Parallel))
+    }
+
+    fn lockstep(&self, batch: usize) -> Box<dyn Lockstep + '_> {
+        Box::new(BitplaneSimulator::new(
+            &self.program,
+            batch,
+            Device::Parallel,
+        ))
     }
 }
 

@@ -16,7 +16,9 @@
 //! `#[test]` wrappers; see `crates/hal/tests/conformance.rs`).
 
 use crate::backend::Backend;
-use c2nn_core::{compile, run_batch, CompileOptions, Session, SimError, Simulator, Stimulus};
+use c2nn_core::{
+    compile, run_batch, BitTensor, CompileOptions, Session, SimError, Simulator, Stimulus,
+};
 use c2nn_netlist::Netlist;
 use c2nn_refsim::CycleSim;
 use c2nn_tensor::{Dense, Device};
@@ -131,7 +133,10 @@ pub fn check_backend(backend: &dyn Backend) {
 
 /// Ragged `execute_batch` semantics: shorter testbenches idle with zero
 /// inputs but record only their own length — byte-identical to
-/// [`c2nn_core::run_batch`] on the same stimuli.
+/// [`c2nn_core::run_batch`] on the same stimuli. Two shapes: a small one,
+/// and one that crosses 64-lane words and 64-cycle blocks (130
+/// testbenches — two full words plus a 2-lane tail — with lengths on
+/// both sides of one and two blocks).
 pub fn check_ragged_batches(backend: &dyn Backend) {
     let name = backend.name();
     let nl = c2nn_circuits::uart();
@@ -140,24 +145,79 @@ pub fn check_ragged_batches(backend: &dyn Backend) {
     let plan = backend.admit(&nn).unwrap();
     let pi = nn.num_primary_inputs;
     let mut rng = Lcg(0x4a66 ^ name.len() as u64);
-    // ragged lengths including an empty testbench
-    let stims: Vec<Stimulus> = [7usize, 0, 12, 3, 12, 1]
-        .iter()
-        .map(|&len| Stimulus {
-            cycles: rng.lanes(len, pi),
-        })
-        .collect();
-    let got = plan.execute_batch(&stims).unwrap();
-    let want = run_batch(&nn, &stims, Device::Serial);
-    assert_eq!(got.len(), want.len());
-    for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert_eq!(
-            g.cycles, w.cycles,
-            "{name}: ragged batch lane {lane} diverged"
-        );
+    let block_lens = [0usize, 1, 63, 64, 65, 128, 129];
+    let shapes: [Vec<usize>; 2] = [
+        // ragged lengths including an empty testbench
+        vec![7, 0, 12, 3, 12, 1],
+        (0..130).map(|j| block_lens[j % block_lens.len()]).collect(),
+    ];
+    for lens in shapes {
+        let stims: Vec<Stimulus> = lens
+            .iter()
+            .map(|&len| Stimulus {
+                cycles: rng.lanes(len, pi),
+            })
+            .collect();
+        let got = plan.execute_batch(&stims).unwrap();
+        let want = run_batch(&nn, &stims, Device::Serial);
+        assert_eq!(got.len(), want.len());
+        for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.cycles,
+                w.cycles,
+                "{name}: ragged batch of {} lane {lane} diverged",
+                lens.len()
+            );
+        }
     }
     // empty batch is a no-op, not an error
     assert!(plan.execute_batch(&[]).unwrap().is_empty());
+}
+
+/// Input bits past a testbench's last cycle (the ragged tail of its
+/// planes, which `BitTensor::from_words` takes as-is) must not reach the
+/// engine: `execute_planes` returns exactly the outputs of the masked
+/// input, with zero output tails.
+pub fn check_garbage_tails(backend: &dyn Backend) {
+    let name = backend.name();
+    let nl = c2nn_circuits::uart();
+    let opts = backend.compile_options(CompileOptions::with_l(4));
+    let nn = Arc::new(compile(&nl, opts).unwrap());
+    let plan = backend.admit(&nn).unwrap();
+    let pi = nn.num_primary_inputs;
+    let mut rng = Lcg(0x6a7b ^ name.len() as u64);
+    let lens = [1usize, 0, 5, 63, 64, 65, 100, 130];
+    let clean: Vec<BitTensor> = (0..70)
+        .map(|j| BitTensor::from_lanes_checked(pi, &rng.lanes(lens[j % lens.len()], pi)).unwrap())
+        .collect();
+    let dirty: Vec<BitTensor> = clean
+        .iter()
+        .map(|t| {
+            let (words, keep) = (t.words_per_feature(), t.tail_mask());
+            let mut data = t.data().to_vec();
+            for plane in data.chunks_mut(words.max(1)) {
+                if let Some(last) = plane.last_mut() {
+                    *last |= !keep & 0xa5a5_5a5a_f00f_c3c3;
+                }
+            }
+            BitTensor::from_words(t.features(), t.batch(), data).unwrap()
+        })
+        .collect();
+    assert!(
+        clean.iter().zip(&dirty).any(|(c, d)| c != d),
+        "{name}: no garbage was injected"
+    );
+    let want = plan.execute_planes(&clean).unwrap();
+    let got = plan.execute_planes(&dirty).unwrap();
+    assert_eq!(got, want, "{name}: input tail garbage changed the outputs");
+    for (j, out) in got.iter().enumerate() {
+        let mut canonical = out.clone();
+        canonical.mask_tails();
+        assert_eq!(
+            *out, canonical,
+            "{name}: testbench {j} output planes carry tail bits"
+        );
+    }
 }
 
 /// Typed shape errors must be identical across backends (callers match on

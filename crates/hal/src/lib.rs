@@ -5,11 +5,12 @@
 //!
 //! The pieces:
 //!
-//! * [`Backend`] / [`Plan`] / [`Runner`] — the contract ([`backend`]):
-//!   a backend *admits* a compiled network (fallibly, with a typed
-//!   [`Reject`]) into a [`Plan`] carrying a capabilities [`Manifest`];
-//!   plans manufacture resumable runners with the exact
-//!   `SessionRunner::step` semantics.
+//! * [`Backend`] / [`Plan`] / [`Lockstep`] / [`Runner`] — the contract
+//!   ([`backend`]): a backend *admits* a compiled network (fallibly, with
+//!   a typed [`Reject`]) into a [`Plan`] carrying a capabilities
+//!   [`Manifest`]; plans run ragged testbenches on a state-resident
+//!   [`Lockstep`] ([`Plan::execute_planes`]) and manufacture resumable
+//!   per-lane runners with the exact `SessionRunner::step` semantics.
 //! * [`backends`] — the three built-in engines: `scalar`, `pooled-csr`,
 //!   and `bitplane`.
 //! * [`BackendRegistry`] ([`registry`]) — ordered name → backend map with
@@ -28,7 +29,7 @@ pub mod conformance;
 pub mod cost;
 pub mod registry;
 
-pub use backend::{Backend, Manifest, Plan, Reject, RowClassCount, Runner};
+pub use backend::{Backend, Lockstep, Manifest, Plan, Reject, RowClassCount, Runner};
 pub use backends::{BitplaneBackend, CsrBackend};
 pub use calibrate::{calibrate, CalibrateOptions};
 pub use cost::{BackendCalibration, DeviceCalibration, DeviceModel};

@@ -1,7 +1,9 @@
 //! The backend-conformance suite run against every built-in backend: each
 //! engine must be bit-exact vs the pooled-CSR `Simulator` and the
 //! gate-level refsim on every suite circuit, honor ragged `execute_batch`
-//! semantics, and produce identical typed shape errors. These are the
+//! semantics (including 64-lane-word and 64-cycle-block boundaries),
+//! ignore input bits past a testbench's last cycle, and produce identical
+//! typed shape errors. These are the
 //! tests the CI `backend-conformance` job runs in release mode.
 
 use c2nn_hal::{conformance, BackendRegistry};
@@ -41,6 +43,21 @@ fn pooled_csr_ragged_batches_match_run_batch() {
 #[test]
 fn bitplane_ragged_batches_match_run_batch() {
     conformance::check_ragged_batches(backend("bitplane").as_ref());
+}
+
+#[test]
+fn scalar_ignores_input_tail_garbage() {
+    conformance::check_garbage_tails(backend("scalar").as_ref());
+}
+
+#[test]
+fn pooled_csr_ignores_input_tail_garbage() {
+    conformance::check_garbage_tails(backend("pooled-csr").as_ref());
+}
+
+#[test]
+fn bitplane_ignores_input_tail_garbage() {
+    conformance::check_garbage_tails(backend("bitplane").as_ref());
 }
 
 #[test]

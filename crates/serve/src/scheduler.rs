@@ -35,7 +35,7 @@
 //!   occupies the forward pass.
 //! * A panic during the batched forward pass (e.g. a pool worker dying) is
 //!   caught: every lane in the batch gets a typed failure, and the batcher
-//!   thread survives to serve the next batch with a fresh runner — the
+//!   thread survives to serve the next batch with a fresh lockstep — the
 //!   pool respawns its worker on the next job
 //!   ([`c2nn_tensor::Pool`] self-healing).
 //! * An armed [`Chaos`] schedule injects scheduler stalls and worker
@@ -392,8 +392,8 @@ fn finish_job(stats: &ModelCounters, job: SimJob, reply: Result<SimOutput, SimFa
 
 /// Execute one coalesced batch through [`Plan::execute_planes`] and
 /// scatter results. Every job gets a reply (success or typed failure).
-/// The runner lives only for this call, so a panic mid-pass leaves no
-/// state behind for the next batch.
+/// The plan's lockstep lives only for this call, so a panic mid-pass
+/// leaves no state behind for the next batch.
 fn run_coalesced(
     plan: &dyn Plan,
     stats: &ModelCounters,
